@@ -33,9 +33,21 @@ the built-in defaults) exempts rows that are measurement-only on this
 host: parallel fan-out (1-core container measures overhead, not
 scaling) and the fleet DES model rates.
 
+Two more bounds hold within one report. The hardware CRC-32C row
+(``BM_Crc32Hw``) must be at least as fast as the dispatch
+``BM_ZvcCompress/50`` row: the shard framing must not cost more than
+the codec it frames. And the context's ``cdma_optimized`` must be
+``true``: rates of unoptimized cdma code are not comparable. (The
+context's ``library_build_type`` describes the google-benchmark
+library, not the cdma code.)
+
 ``--self-test`` proves the gate actually trips: it injects a 2x
 slowdown into one gated row of the committed report and fails unless
-the comparison catches it (and passes an unmodified copy).
+the comparison catches it (and passes an unmodified copy). It also
+replays the last single-chain CRC rows (7.35 GB/s against
+10.85 GB/s) into a copy and requires the framing bound to trip, and
+requires a copy marked unoptimized to be rejected; copies that meet
+each bound must pass.
 
 Usage:
   bench/check_bench_json.py [report.json]                 schema check
@@ -86,6 +98,16 @@ POLICY_OVERHEAD_FACTOR = 100.0
 # tax the robustness layer added.
 CRC_SCALAR_FAMILY = "BM_Crc32Scalar"
 CRC_HW_FAMILY = "BM_Crc32Hw"
+# Framing bound: every spilled shard is checksummed once in the
+# compress lanes and again before it expands, so the hardware CRC must
+# push bytes at least as fast as the dispatch ZVC compress row at the
+# paper's d50 operating point. Framing slower than the codec it frames
+# dominates the round trip.
+CRC_FRAMING_REFERENCE = "BM_ZvcCompress/50"
+# The last rows recorded with a single-chain hardware CRC, in bytes/s:
+# the self-test replays them and requires the framing bound to trip.
+SINGLE_CHAIN_CRC_ROWS = {CRC_HW_FAMILY: 7345373484.769981,
+                         CRC_FRAMING_REFERENCE: 10851495608.875496}
 # Widest first: the silent-fallback check expects the dispatcher to
 # pick the widest backend the producing host supports.
 KNOWN_BACKENDS = ("avx512", "avx2", "scalar")
@@ -178,6 +200,38 @@ def check_duplex_context(report: dict) -> str:
     return mode
 
 
+def unoptimized_violation(report: dict):
+    """Why the report's cdma code cannot be trusted for timing, or None.
+
+    ``cdma_optimized`` is recorded by the bench binary from its own
+    compile flags, which it shares with cdma_core. The context's
+    ``library_build_type`` describes the google-benchmark library the
+    binary links against, not the code it measures.
+    """
+    optimized = report.get("context", {}).get("cdma_optimized")
+    if optimized is None:
+        return ("context lacks 'cdma_optimized' (the bench binary must "
+                "record whether the cdma code it measures was optimized)")
+    if optimized != "true":
+        return (f"context cdma_optimized is '{optimized}': the cdma code "
+                "was built without optimization (configure with "
+                "-DCMAKE_BUILD_TYPE=Release), so its rates are not "
+                "comparable")
+    return None
+
+
+def crc_framing_violation(report: dict):
+    """Why the hardware CRC row breaks the framing bound, or None."""
+    rows = throughput_rows(report)
+    crc = rows.get(CRC_HW_FAMILY)
+    codec = rows.get(CRC_FRAMING_REFERENCE)
+    if crc is None or codec is None or crc >= codec:
+        return None
+    return (f"{CRC_HW_FAMILY} ({crc / 1e9:.2f} GB/s) is slower than "
+            f"{CRC_FRAMING_REFERENCE} ({codec / 1e9:.2f} GB/s): the shard "
+            "framing costs more than the codec it frames")
+
+
 def load_report(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -191,6 +245,9 @@ def load_report(path: str) -> dict:
 def check_schema(report: dict, path: str) -> str:
     backend = check_backend_context(report)
     duplex_mode = check_duplex_context(report)
+    unoptimized = unoptimized_violation(report)
+    if unoptimized:
+        fail(unoptimized)
 
     benchmarks = report.get("benchmarks")
     if not benchmarks:
@@ -297,6 +354,9 @@ def check_schema(report: dict, path: str) -> str:
             and producer_supports(context, "avx2")):
         fail(f"{CRC_HW_FAMILY} absent although the producing host has "
              "the hardware CRC32C instruction")
+    framing = crc_framing_violation(report)
+    if framing:
+        fail(framing)
     # avx512 rows are required exactly when the producing host can run
     # them (the gate tolerates their absence in reports from narrower
     # hosts); a capable host missing them lost half the trajectory.
@@ -465,9 +525,43 @@ def self_test(path: str, tolerance: float) -> None:
              + ", ".join(name for name, *_ in clean))
     if gated == 0:
         fail("self-test: gate compared zero rows of an identical report")
+
+    # The framing bound and the build check, on mutated copies of the
+    # report: each must pass a copy that meets it and fail one that
+    # does not (the single-chain CRC rows replayed, the cdma code
+    # marked unoptimized).
+    def with_rows(rows: dict) -> dict:
+        mutated = copy.deepcopy(report)
+        found = set()
+        for entry in mutated["benchmarks"]:
+            name = entry.get("name")
+            if entry.get("run_type") != "aggregate" and name in rows:
+                entry["bytes_per_second"] = rows[name]
+                found.add(name)
+        if found != set(rows):
+            fail(f"self-test: {path} lacks the CRC framing rows "
+                 f"{', '.join(sorted(set(rows) - found))}")
+        return mutated
+
+    codec_bps = SINGLE_CHAIN_CRC_ROWS[CRC_FRAMING_REFERENCE]
+    if crc_framing_violation(with_rows({CRC_HW_FAMILY: codec_bps,
+                                        CRC_FRAMING_REFERENCE: codec_bps})):
+        fail("self-test: the CRC framing bound false-positived on a CRC "
+             "row exactly as fast as the codec row")
+    if not crc_framing_violation(with_rows(SINGLE_CHAIN_CRC_ROWS)):
+        fail("self-test: the CRC framing bound MISSED the single-chain "
+             "rows")
+    for optimized, rejected in (("true", False), ("false", True)):
+        mutated = copy.deepcopy(report)
+        mutated["context"]["cdma_optimized"] = optimized
+        if bool(unoptimized_violation(mutated)) != rejected:
+            fail(f"self-test: the build check judged cdma_optimized="
+                 f"'{optimized}' wrongly")
+
     print(f"check_bench_json: self-test OK (injected 2x slowdown on "
           f"{victim} caught at {tolerance:.0%}; identical report passes "
-          f"{gated} rows)")
+          f"{gated} rows; single-chain CRC rows fail the framing bound; "
+          "an unoptimized report is rejected)")
 
 
 def main() -> None:

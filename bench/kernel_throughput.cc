@@ -537,6 +537,15 @@ main(int argc, char **argv)
     // both regardless); check_bench_json.py validates the field.
     benchmark::AddCustomContext(
         "duplex_mode", cdma::duplexModeName(cdma::CdmaConfig{}.transfer.duplex_mode));
+    // Whether the measured cdma code was optimized. This binary is
+    // compiled with the same build-type flags as cdma_core; the
+    // context's library_build_type describes the google-benchmark
+    // library it links, not the code it measures.
+#ifdef __OPTIMIZE__
+    benchmark::AddCustomContext("cdma_optimized", "true");
+#else
+    benchmark::AddCustomContext("cdma_optimized", "false");
+#endif
     if (cdma::avx2Kernels() != nullptr)
         benchmark::RegisterBenchmark("BM_Crc32Hw", BM_Crc32Hw);
     registerBackendBenchmarks();

@@ -339,6 +339,55 @@ TransferEngine::prefetch(const CompressedBuffer &buffer) const
 namespace {
 
 /**
+ * Framing check of spilled shard @p s before any of it is written out.
+ * The arena returns whatever framing was appended through its public
+ * surface, so the drain trusts none of it: the shard must frame at
+ * least one window, all inside the spill; its window sizes must add up
+ * to its payload; and a raw payload must exactly fill the bytes its
+ * windows cover.
+ */
+Status
+checkShardFraming(const SpillShardView &view, size_t s,
+                  uint64_t original_bytes, uint64_t window_bytes)
+{
+    using ull = unsigned long long;
+    const uint64_t windows =
+        original_bytes == 0 ? 0 : ceilDiv(original_bytes, window_bytes);
+    const uint64_t count = view.window_sizes.size();
+    if (count == 0 || view.first_window >= windows ||
+        count > windows - view.first_window) {
+        return Status::corrupt(
+            "spilled shard %zu frames windows [%llu, %llu) of a %llu-window "
+            "spill",
+            s, static_cast<ull>(view.first_window),
+            static_cast<ull>(view.first_window + count),
+            static_cast<ull>(windows));
+    }
+    uint64_t framed = 0;
+    for (const uint32_t size : view.window_sizes)
+        framed += size;
+    if (framed != view.payload.size()) {
+        return Status::corrupt(
+            "spilled shard %zu window sizes sum to %llu bytes but its "
+            "payload holds %zu",
+            s, static_cast<ull>(framed), view.payload.size());
+    }
+    if (view.raw_framed || view.codec == Codec::Raw) {
+        const uint64_t region =
+            std::min(original_bytes,
+                     (view.first_window + count) * window_bytes) -
+            view.first_window * window_bytes;
+        if (view.payload.size() != region) {
+            return Status::corrupt(
+                "spilled raw shard %zu holds %zu bytes for a %llu-byte "
+                "region",
+                s, view.payload.size(), static_cast<ull>(region));
+        }
+    }
+    return Status{};
+}
+
+/**
  * The arena expand drain, generic over the spill store's read surface
  * (SpillArena or TieredSpillArena — a tiered spill must already be
  * host-resident; the public tiered overload promotes first).
@@ -366,6 +415,10 @@ prefetchFromArena(const TransferEngine &te, const Arena &arena,
     // engine walks one spilled layer at a time.
     for (size_t s = 0; s < arena.shardCount(ticket); ++s) {
         const SpillShardView view = arena.shard(ticket, s);
+        const Status framing =
+            checkShardFraming(view, s, original_bytes, window_bytes);
+        if (!framing.ok())
+            return framing;
         ShardTransfer xfer;
         xfer.raw_bytes = view.raw_bytes;
         xfer.wire_bytes = view.wire_bytes;
@@ -437,8 +490,6 @@ prefetchFromArena(const TransferEngine &te, const Arena &arena,
                 cursor += size;
                 ++window;
             }
-            CDMA_ASSERT(cursor == view.payload.size(),
-                        "spilled shard payload not fully consumed");
         }
         result.shards.push_back(xfer);
     }

@@ -123,9 +123,12 @@ struct KernelOps {
      * chaining crc32(crc32(0, a), b) equals crc32(0, a+b)). This is the
      * end-to-end integrity check framing every spilled shard: computed
      * at compress time, verified on prefetch before expansion. The
-     * scalar backend is a slice-by-8 table walk; the AVX2 backend rides
-     * the SSE4.2 crc32 instruction (every AVX2 part has it). Both
-     * produce the identical standard CRC32C value.
+     * scalar backend is a slice-by-8 table walk; the AVX2 backend (whose
+     * op the AVX-512 table shares) rides the SSE4.2 crc32 instruction
+     * (every AVX2 part has it) in three interleaved chains over
+     * 3 x 8 KB and 3 x 256 B blocks, joined by constexpr "append N zero
+     * bytes" tables, with one chain for inputs under 768 B and the
+     * tail. All produce the identical standard CRC32C value.
      */
     uint32_t (*crc32)(uint32_t seed, const uint8_t *data, size_t n);
 };

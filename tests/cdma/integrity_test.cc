@@ -5,8 +5,9 @@
  * and priced on the timeline — with the restored bytes byte-identical
  * to the source in every surviving case. Covers the retry path, the
  * degradation-to-raw-framing path, retry-budget exhaustion in both
- * directions, stored-shard CRC tampering, retry-stall pricing on the
- * DES timeline, and the analytic expectation fold in planFromRatio.
+ * directions, stored-shard CRC tampering, malformed stored framing,
+ * retry-stall pricing on the DES timeline, and the analytic
+ * expectation fold in planFromRatio.
  */
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 
 #include "cdma/transfer_engine.hh"
 #include "common/rng.hh"
+#include "compress/kernels/kernels.hh"
 #include "sim/fault_injector.hh"
 
 namespace cdma {
@@ -240,6 +242,83 @@ TEST(Integrity, TamperedStoredShardFailsCrcVerification)
     EXPECT_EQ(restored.status().code(), StatusCode::IntegrityError)
         << restored.status().toString();
     arena.release(spilled->ticket);
+}
+
+TEST(Integrity, MalformedStoredFramingIsRejectedBeforeExpansion)
+{
+    // SpillArena::appendShard stores whatever framing its caller wrote,
+    // and a CRC computed over a bad shard's own payload still matches.
+    // Each shape below re-frames a genuine one-window shard and appends
+    // it to a fresh 4096-byte spill; the prefetch drain must turn
+    // framing that would copy past the output, slice past the payload
+    // or decode outside the spill into Status::corrupt.
+    CdmaConfig config;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    const CdmaEngine engine(config);
+    const TransferEngine transfers(engine);
+    const uint64_t window = engine.config().compression.window_bytes;
+    const auto input = makeInput(0.4, window, 77);
+
+    SpillArena source;
+    const StatusOr<SpilledOffload> spilled =
+        transfers.offloadInto(input, source);
+    ASSERT_TRUE(spilled.ok());
+    ASSERT_EQ(source.shardCount(spilled->ticket), 1u);
+    const SpillShardView genuine = source.shard(spilled->ticket, 0);
+    ASSERT_EQ(genuine.window_sizes.size(), 1u);
+
+    struct Shape {
+        const char *name;
+        bool raw_framed;
+        uint64_t first_window;
+        ByteVec payload;
+        std::vector<uint32_t> window_sizes;
+        StatusCode expect;
+    };
+    const ByteVec zvc(genuine.payload.begin(), genuine.payload.end());
+    const auto zvc_bytes = static_cast<uint32_t>(zvc.size());
+    ByteVec doubled(input.begin(), input.end());
+    doubled.insert(doubled.end(), input.begin(), input.end());
+    const std::vector<Shape> shapes = {
+        {"genuine shard", false, 0, zvc, {zvc_bytes}, StatusCode::Ok},
+        {"raw payload exactly fills its region", true, 0,
+         ByteVec(input.begin(), input.end()),
+         {static_cast<uint32_t>(window)}, StatusCode::Ok},
+        {"raw payload twice the spill", true, 0, doubled,
+         {static_cast<uint32_t>(doubled.size())}, StatusCode::Corrupt},
+        {"window sizes past the payload", false, 0, zvc,
+         {zvc_bytes + 64}, StatusCode::Corrupt},
+        {"first window beyond the spill", false, 5, zvc, {zvc_bytes},
+         StatusCode::Corrupt},
+    };
+    for (const Shape &shape : shapes) {
+        SpillArena arena;
+        const SpillTicket ticket = arena.beginSpill(window, window);
+        CompressedShard shard;
+        shard.first_window = shape.first_window;
+        shard.raw_bytes = window;
+        shard.payload = shape.payload;
+        shard.window_sizes = shape.window_sizes;
+        shard.raw_framed = shape.raw_framed;
+        shard.crc32c = activeKernels().crc32(0, shard.payload.data(),
+                                             shard.payload.size());
+        arena.appendShard(ticket, shard);
+
+        const StatusOr<PrefetchResult> restored =
+            transfers.prefetch(arena, ticket);
+        if (shape.expect == StatusCode::Ok) {
+            ASSERT_TRUE(restored.ok())
+                << shape.name << ": " << restored.status().toString();
+            EXPECT_EQ(restored->data, ByteVec(input.begin(), input.end()))
+                << shape.name;
+        } else {
+            ASSERT_FALSE(restored.ok()) << shape.name;
+            EXPECT_EQ(restored.status().code(), shape.expect)
+                << shape.name << ": " << restored.status().toString();
+        }
+        arena.release(ticket);
+    }
+    source.release(spilled->ticket);
 }
 
 TEST(Integrity, RetryStallIsPricedOnTheTimeline)

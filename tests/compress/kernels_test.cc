@@ -276,21 +276,31 @@ TEST_F(KernelOpEquivalence, Crc32)
     }
 
     // Differential sweep across sizes/alignments, plus the chaining
-    // property crc(crc(0, a), b) == crc(0, a+b) at every split.
+    // property crc(crc(0, a), b) == crc(0, a+b) at every split. The
+    // hardware kernel runs three streams over 3 x 8 KB blocks, then
+    // 3 x 256 B blocks, then one chain, so the sizes straddle each block
+    // boundary: 767/768/769, 24575/24576/24577, three long blocks + one
+    // short block + a 5-byte tail (74501), and 1 MiB + 5.
     const KernelOps &ref = scalarKernels();
     Rng rng(37);
+    constexpr size_t kLongBlock = 3 * 8192;
+    constexpr size_t kShortBlock = 3 * 256;
+    const std::vector<size_t> sizes = {
+        1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 1024, 4096, 65537,
+        kShortBlock - 1, kShortBlock, kShortBlock + 1,
+        kLongBlock - 1, kLongBlock, kLongBlock + 1,
+        3 * kLongBlock + kShortBlock + 5, (1u << 20) + 5};
     for (const KernelOps *ops : others()) {
-        for (const size_t n : {1u, 2u, 7u, 8u, 9u, 15u, 16u, 17u, 63u,
-                               64u, 65u, 255u, 1024u, 4096u, 65537u}) {
+        for (const size_t n : sizes) {
             const auto data = makeWords(0.6, n, 1000 + n);
             const uint32_t expect = ref.crc32(0, data.data(), n);
             EXPECT_EQ(ops->crc32(0, data.data(), n), expect)
                 << ops->name << " n=" << n;
-            // Unaligned start (the payload cursor is byte-granular).
-            if (n > 3) {
-                EXPECT_EQ(ops->crc32(0, data.data() + 3, n - 3),
-                          ref.crc32(0, data.data() + 3, n - 3))
-                    << ops->name << " n=" << n << " unaligned";
+            // Unaligned starts (the payload cursor is byte-granular).
+            for (size_t offset = 1; offset <= 7 && offset < n; ++offset) {
+                EXPECT_EQ(ops->crc32(0, data.data() + offset, n - offset),
+                          ref.crc32(0, data.data() + offset, n - offset))
+                    << ops->name << " n=" << n << " offset=" << offset;
             }
             const size_t split = rng.uniformInt(n + 1);
             const uint32_t seed = ops->crc32(0, data.data(), split);
@@ -298,6 +308,15 @@ TEST_F(KernelOpEquivalence, Crc32)
                       expect)
                 << ops->name << " n=" << n << " split=" << split;
         }
+        // A chaining split inside a long block: both halves end and
+        // start mid-stream relative to the unsplit call.
+        const size_t n = 3 * kLongBlock + kShortBlock + 5;
+        const size_t split = kLongBlock + 8192 + 1234;
+        const auto data = makeWords(0.6, n, 1000 + n);
+        const uint32_t seed = ops->crc32(0, data.data(), split);
+        EXPECT_EQ(ops->crc32(seed, data.data() + split, n - split),
+                  ref.crc32(0, data.data(), n))
+            << ops->name << " n=" << n << " split=" << split;
     }
 }
 
