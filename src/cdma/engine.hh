@@ -269,9 +269,13 @@ struct CompressionConfig {
     /** When false the engine degrades to a plain (vDNN) DMA copy. */
     bool enabled = true;
     /**
-     * Software compression lanes used when the engine compresses real
-     * bytes (planTransfer), mirroring the hardware's replicated ZVC
-     * pipelines. 1 = serial; 0 = one lane per hardware thread.
+     * Software lanes the engine compresses and expands real bytes on,
+     * mirroring the hardware's replicated compression and
+     * decompression pipelines (Section V-B). The count includes the
+     * calling thread, which works shards alongside lanes - 1 pool
+     * workers, and the same lanes serve both legs: planTransfer, the
+     * offload flows and the prefetch flows. 1 = serial; 0 = one lane
+     * per hardware thread.
      */
     unsigned lanes = 1;
     /**

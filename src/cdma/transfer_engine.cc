@@ -388,7 +388,98 @@ checkShardFraming(const SpillShardView &view, size_t s,
 }
 
 /**
- * The arena expand drain, generic over the spill store's read surface
+ * Whole-spill framing check, before any crossing is sampled or any
+ * output byte is written: every shard passes checkShardFraming(), and
+ * together the shards tile the spill's windows in order — the first
+ * starts at window 0, each starts where the previous one ended, and the
+ * last ends at the spill's final window. Every output byte then has
+ * exactly one writer, so the lanes can expand shards concurrently and
+ * no byte of the result is left unwritten.
+ */
+Status
+checkSpillFraming(std::span<const SpillShardView> views,
+                  uint64_t original_bytes, uint64_t window_bytes)
+{
+    using ull = unsigned long long;
+    const uint64_t windows =
+        original_bytes == 0 ? 0 : ceilDiv(original_bytes, window_bytes);
+    uint64_t next_window = 0;
+    for (size_t s = 0; s < views.size(); ++s) {
+        const Status framing =
+            checkShardFraming(views[s], s, original_bytes, window_bytes);
+        if (!framing.ok())
+            return framing;
+        if (views[s].first_window != next_window) {
+            return Status::corrupt(
+                "spilled shard %zu starts at window %llu, where the "
+                "shards before it end at window %llu",
+                s, static_cast<ull>(views[s].first_window),
+                static_cast<ull>(next_window));
+        }
+        next_window += views[s].window_sizes.size();
+    }
+    if (next_window != windows) {
+        return Status::corrupt(
+            "spilled shards frame %llu of the spill's %llu windows",
+            static_cast<ull>(next_window), static_cast<ull>(windows));
+    }
+    return Status{};
+}
+
+/**
+ * Verify spilled shard @p s against the CRC-32C framed at compress
+ * time, then expand it into its own region of @p out. Reads only the
+ * shard's view and writes only the windows it frames, so any lane can
+ * run it.
+ */
+Status
+expandSpilledShard(const CdmaEngine &engine, const KernelOps &kernels,
+                   const SpillShardView &view, size_t s,
+                   uint64_t original_bytes, uint64_t window_bytes,
+                   uint8_t *out)
+{
+    // End-to-end verify: the stored payload against its CRC, before any
+    // decode work touches it.
+    const uint32_t crc =
+        kernels.crc32(0, view.payload.data(), view.payload.size());
+    if (crc != view.crc32c) {
+        return Status::integrityError(
+            "spilled shard %zu CRC mismatch (framed %08x, landed %08x)", s,
+            view.crc32c, crc);
+    }
+
+    if (view.raw_framed || view.codec == Codec::Raw) {
+        // Degraded or policy-chosen raw shard: the payload IS the raw
+        // bytes (identity framing), one bounded copy.
+        std::memcpy(out + view.first_window * window_bytes,
+                    view.payload.data(), view.payload.size());
+        return Status{};
+    }
+    // Per-shard decoder dispatch: under the adaptive policy a spill's
+    // shards can carry different codecs (the choice changed between
+    // offloads); each stored tag names the decoder that inverts it.
+    const Compressor &codec = engine.serialCodec(view.codec);
+    uint64_t cursor = 0;
+    uint64_t window = view.first_window;
+    for (const uint32_t size : view.window_sizes) {
+        const uint64_t out_offset = window * window_bytes;
+        const uint64_t raw =
+            std::min<uint64_t>(window_bytes, original_bytes - out_offset);
+        const Status status = codec.decompressWindowInto(
+            view.payload.subspan(cursor, size), raw, out + out_offset);
+        if (!status.ok()) {
+            return status.withContext(
+                "spilled shard %zu window %llu", s,
+                static_cast<unsigned long long>(window));
+        }
+        cursor += size;
+        ++window;
+    }
+    return Status{};
+}
+
+/**
+ * The arena expand path, generic over the spill store's read surface
  * (SpillArena or TieredSpillArena — a tiered spill must already be
  * host-resident; the public tiered overload promotes first).
  */
@@ -403,96 +494,85 @@ prefetchFromArena(const TransferEngine &te, const Arena &arena,
     const RetryPolicy &retry = config.transfer.retry;
     const uint64_t original_bytes = arena.originalBytes(ticket);
     const uint64_t window_bytes = arena.windowBytes(ticket);
-    const KernelOps &kernels = engine.compressor().serial().kernels();
+    const ParallelCompressor &lanes = engine.compressor();
+    const KernelOps &kernels = lanes.serial().kernels();
+
+    // The arena is read here, on this thread, only: the lanes see the
+    // views, which point straight into the arena slots (no stitched
+    // payload copy).
+    const size_t shards = arena.shardCount(ticket);
+    std::vector<SpillShardView> views;
+    views.reserve(shards);
+    for (size_t s = 0; s < shards; ++s)
+        views.push_back(arena.shard(ticket, s));
+    const Status framing =
+        checkSpillFraming(views, original_bytes, window_bytes);
+    if (!framing.ok())
+        return framing;
 
     PrefetchResult result;
     result.data.resize(original_bytes);
-    result.shards.reserve(arena.shardCount(ticket));
+    result.shards.reserve(shards);
+    uint8_t *const out = result.data.data();
 
-    // Shards expand in store order straight out of the arena slots —
-    // no stitched payload copy. The drain is serial here: the arena
-    // path models the steady-state training loop, where the prefetch
-    // engine walks one spilled layer at a time.
-    for (size_t s = 0; s < arena.shardCount(ticket); ++s) {
-        const SpillShardView view = arena.shard(ticket, s);
-        const Status framing =
-            checkShardFraming(view, s, original_bytes, window_bytes);
-        if (!framing.ok())
-            return framing;
-        ShardTransfer xfer;
-        xfer.raw_bytes = view.raw_bytes;
-        xfer.wire_bytes = view.wire_bytes;
-        xfer.degraded = view.raw_framed;
+    // Every lane verifies and expands shards into their own regions of
+    // result.data. The drain runs on this thread in shard order: it
+    // samples the fault process (if any) crossing by crossing, records
+    // the shard's transfer, and stops at the first error in shard
+    // order. So the injector's draw sequence, the integrity counters
+    // and the returned Status do not depend on the lane count.
+    std::vector<Status> expanded(shards);
+    Status first_error;
+    lanes.runOrderedShardFanOut(
+        shards,
+        [&](uint64_t s) {
+            expanded[s] = expandSpilledShard(engine, kernels, views[s], s,
+                                             original_bytes, window_bytes,
+                                             out);
+        },
+        [&](uint64_t s) {
+            const SpillShardView &view = views[s];
+            ShardTransfer xfer;
+            xfer.raw_bytes = view.raw_bytes;
+            xfer.wire_bytes = view.wire_bytes;
+            xfer.degraded = view.raw_framed;
 
-        // GPU-bound wire crossing(s): a faulted crossing re-reads the
-        // pristine arena slot, so once a crossing lands clean the
-        // landed bytes are exactly the stored bytes.
-        uint32_t attempts = 0;
-        while (injector != nullptr) {
-            ++attempts;
-            const sim::FaultOutcome outcome =
-                injector->sample(view.payload.size());
-            if (crossingLanded(outcome, view.payload, view.crc32c,
-                               kernels, result.integrity)) {
-                break;
-            }
-            traceRejectedCrossing(config.obs.integrity_trace, "prefetch",
-                                  outcome, s, attempts);
-            xfer.failed_wire_bytes += view.wire_bytes;
-            if (attempts >= retry.max_attempts) {
-                return Status::retryExhausted(
-                    "prefetch shard %zu dropped after %u crossings", s,
-                    attempts);
-            }
-            ++result.integrity.retries;
-        }
-        xfer.attempts = std::max<uint32_t>(1, attempts);
-        result.integrity.attempts += xfer.attempts;
-        result.integrity.failed_wire_bytes += xfer.failed_wire_bytes;
-
-        // End-to-end verify: the landed payload against the CRC framed
-        // at compress time, before any decode work touches it.
-        const uint32_t crc =
-            kernels.crc32(0, view.payload.data(), view.payload.size());
-        if (crc != view.crc32c) {
-            return Status::integrityError(
-                "spilled shard %zu CRC mismatch (framed %08x, landed "
-                "%08x)",
-                s, view.crc32c, crc);
-        }
-
-        if (view.raw_framed || view.codec == Codec::Raw) {
-            // Degraded or policy-chosen raw shard: the payload IS the
-            // raw bytes (identity framing), one bounded copy.
-            std::memcpy(result.data.data() +
-                            view.first_window * window_bytes,
-                        view.payload.data(), view.payload.size());
-        } else {
-            // Per-shard decoder dispatch: under the adaptive policy a
-            // spill's shards can carry different codecs (the choice
-            // changed between offloads); each stored tag names the
-            // decoder that inverts it.
-            const Compressor &codec = engine.serialCodec(view.codec);
-            uint64_t cursor = 0;
-            uint64_t window = view.first_window;
-            for (const uint32_t size : view.window_sizes) {
-                const uint64_t out_offset = window * window_bytes;
-                const uint64_t raw = std::min<uint64_t>(
-                    window_bytes, original_bytes - out_offset);
-                const Status status = codec.decompressWindowInto(
-                    view.payload.subspan(cursor, size), raw,
-                    result.data.data() + out_offset);
-                if (!status.ok()) {
-                    return status.withContext(
-                        "spilled shard %zu window %llu", s,
-                        static_cast<unsigned long long>(window));
+            // GPU-bound wire crossing(s): a faulted crossing re-reads
+            // the pristine arena slot, so once a crossing lands clean
+            // the landed bytes are exactly the stored bytes the lane
+            // verified and expanded.
+            uint32_t attempts = 0;
+            while (injector != nullptr) {
+                ++attempts;
+                const sim::FaultOutcome outcome =
+                    injector->sample(view.payload.size());
+                if (crossingLanded(outcome, view.payload, view.crc32c,
+                                   kernels, result.integrity)) {
+                    break;
                 }
-                cursor += size;
-                ++window;
+                traceRejectedCrossing(config.obs.integrity_trace,
+                                      "prefetch", outcome, s, attempts);
+                xfer.failed_wire_bytes += view.wire_bytes;
+                if (attempts >= retry.max_attempts) {
+                    first_error = Status::retryExhausted(
+                        "prefetch shard %llu dropped after %u crossings",
+                        static_cast<unsigned long long>(s), attempts);
+                    return false;
+                }
+                ++result.integrity.retries;
             }
-        }
-        result.shards.push_back(xfer);
-    }
+            xfer.attempts = std::max<uint32_t>(1, attempts);
+            result.integrity.attempts += xfer.attempts;
+            result.integrity.failed_wire_bytes += xfer.failed_wire_bytes;
+            if (!expanded[s].ok()) {
+                first_error = expanded[s];
+                return false;
+            }
+            result.shards.push_back(xfer);
+            return true;
+        });
+    if (!first_error.ok())
+        return first_error;
 
     result.timing = te.duplexTiming({}, result.shards).prefetch;
     result.integrity.retry_stall_seconds =

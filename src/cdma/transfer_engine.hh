@@ -295,12 +295,21 @@ class TransferEngine
      * (no stitched CompressedBuffer in between). The ticket stays live;
      * the caller releases it once the restored bytes are consumed.
      *
-     * Every shard's payload is verified against its stored CRC-32C
-     * before expansion (Status::integrityError on mismatch). With a
-     * fault injector configured, each GPU-bound crossing samples the
-     * fault process; faulted crossings re-read the pristine arena slot
-     * under the RetryPolicy, so the restored bytes stay byte-identical
-     * to the offloaded data whenever the prefetch succeeds.
+     * The spill's framing is checked whole first: a shard whose windows
+     * fall outside the spill or disagree with its payload, or shards
+     * that do not tile the spill's windows in order, return
+     * Status::corrupt before any crossing is sampled or any byte is
+     * written. Shards then verify and expand on every lane of the
+     * engine's compressor (the calling thread included): each payload
+     * is verified against its stored CRC-32C before expansion
+     * (Status::integrityError on mismatch). With a fault injector
+     * configured, each GPU-bound crossing samples the fault process on
+     * the calling thread, in shard order; faulted crossings re-read the
+     * pristine arena slot under the RetryPolicy, so the restored bytes
+     * stay byte-identical to the offloaded data whenever the prefetch
+     * succeeds. The first error in shard order is returned, and the
+     * counters, the fault draws and the Status are the same at every
+     * lane count.
      */
     StatusOr<PrefetchResult> prefetch(const SpillArena &arena,
                                       SpillTicket ticket) const;

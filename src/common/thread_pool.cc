@@ -102,16 +102,18 @@ ThreadPool::parallelFor(uint64_t count,
     // queued tasks plus the inline drain implies completion of all work.
     const uint64_t helpers =
         std::min<uint64_t>(workers_.size(), count - 1);
-    std::atomic<uint64_t> exited{0};
+    uint64_t exited = 0; // guarded by mutex_
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (uint64_t i = 0; i < helpers; ++i) {
             tasks_.push([&] {
                 drain();
-                if (exited.fetch_add(1) + 1 == helpers) {
-                    std::lock_guard<std::mutex> inner(mutex_);
+                // Count the exit under the mutex: the caller reads the
+                // count under it too, so it cannot return (and pop this
+                // frame's exited/helpers) until the lock is released.
+                std::lock_guard<std::mutex> inner(mutex_);
+                if (++exited == helpers)
                     done_cv_.notify_all();
-                }
             });
         }
     }
@@ -121,7 +123,7 @@ ThreadPool::parallelFor(uint64_t count,
 
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return exited.load() == helpers; });
+        done_cv_.wait(lock, [&] { return exited == helpers; });
     }
     // All lanes have left their pull loops: safe to rethrow (no lock
     // needed — the join above is the synchronization point).

@@ -62,10 +62,10 @@ class ThreadPool
     /**
      * Enqueue @p task for asynchronous execution on a worker thread and
      * return immediately. The pool provides no completion signal for
-     * detached tasks: callers own their rendezvous (the shard-streaming
-     * compression pairs this with per-shard done flags) and must ensure
-     * every reference the task captures outlives it. Requires workers
-     * (lanes > 1).
+     * detached tasks: callers own their rendezvous (the ordered shard
+     * fan-out, ParallelCompressor::runOrderedShardFanOut(), pairs this
+     * with per-shard done flags) and must ensure every reference the
+     * task captures outlives it. Requires workers (lanes > 1).
      */
     void submitDetached(std::function<void()> task);
 

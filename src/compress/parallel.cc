@@ -150,13 +150,14 @@ ParallelCompressor::compressShardInto(std::span<const uint8_t> input,
 }
 
 void
-ParallelCompressor::runOrderedShardFanOut(
+ParallelCompressor::fanOutOnLanes(
     uint64_t shards, const std::function<void(uint64_t)> &work,
-    const std::function<void(uint64_t)> &drain) const
+    const std::function<bool(uint64_t)> &drain) const
 {
-    // Workers pull shards dynamically and flag each as it completes; the
-    // calling thread is the drain stage, consuming shards strictly in
-    // shard order while later shards are still being worked.
+    // Every lane claims shards from one counter and flags each as it
+    // completes. The calling thread drains strictly in shard order;
+    // while the next shard to drain is still being worked elsewhere, it
+    // claims and works an unclaimed shard itself.
     std::atomic<uint64_t> next{0};
     std::mutex mutex;
     std::condition_variable cv;
@@ -164,8 +165,27 @@ ParallelCompressor::runOrderedShardFanOut(
     uint64_t helpers_exited = 0;
     std::exception_ptr first_error;
 
+    auto workShard = [&](uint64_t s) {
+        try {
+            work(s);
+        } catch (...) {
+            // First exception wins; abandon the remaining shards so
+            // every lane exits promptly, and wake the drain (which
+            // stops and rethrows after the join).
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+            next.store(shards, std::memory_order_relaxed);
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            done[s] = true;
+        }
+        cv.notify_all();
+    };
+
     const uint64_t helpers =
-        std::min<uint64_t>(pool_->lanes() - 1, shards);
+        std::min<uint64_t>(pool_->lanes() - 1, shards - 1);
     for (uint64_t h = 0; h < helpers; ++h) {
         pool_->submitDetached([&] {
             for (;;) {
@@ -173,23 +193,7 @@ ParallelCompressor::runOrderedShardFanOut(
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (s >= shards)
                     break;
-                try {
-                    work(s);
-                } catch (...) {
-                    // First worker exception wins; abandon the
-                    // remaining shards so every lane exits promptly,
-                    // and wake the drain thread (which stops consuming
-                    // and rethrows after the join).
-                    std::lock_guard<std::mutex> lock(mutex);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                    next.store(shards, std::memory_order_relaxed);
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mutex);
-                    done[s] = true;
-                }
-                cv.notify_all();
+                workShard(s);
             }
             {
                 // Notify while holding the mutex: once helpers_exited
@@ -205,29 +209,50 @@ ParallelCompressor::runOrderedShardFanOut(
 
     {
         // Helpers capture this frame's locals by reference, so every
-        // exit path — including a throwing drain — must wait for all of
-        // them to leave their pull loop before the frame unwinds.
+        // exit path — including a throwing drain — abandons the
+        // unclaimed shards and waits for all of them to leave their
+        // pull loop before the frame unwinds.
         struct JoinGuard {
+            std::atomic<uint64_t> &next;
+            const uint64_t shards;
             std::mutex &mutex;
             std::condition_variable &cv;
             uint64_t &exited;
             const uint64_t target;
             ~JoinGuard()
             {
+                next.store(shards, std::memory_order_relaxed);
                 std::unique_lock<std::mutex> lock(mutex);
                 cv.wait(lock, [&] { return exited == target; });
             }
-        } join{mutex, cv, helpers_exited, helpers};
+        } join{next, shards, mutex, cv, helpers_exited, helpers};
 
-        for (uint64_t s = 0; s < shards; ++s) {
-            {
+        // True once shard s is done; false once any lane's work threw.
+        auto ready = [&](uint64_t s) {
+            for (;;) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    if (first_error)
+                        return false;
+                    if (done[s])
+                        return true;
+                }
+                const uint64_t claimed =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (claimed < shards) {
+                    workShard(claimed);
+                    continue;
+                }
+                // Nothing left to claim: wait for the lane working s.
                 std::unique_lock<std::mutex> lock(mutex);
                 cv.wait(lock,
                         [&] { return done[s] || first_error != nullptr; });
-                if (first_error)
-                    break;
+                return first_error == nullptr;
             }
-            drain(s);
+        };
+        for (uint64_t s = 0; s < shards; ++s) {
+            if (!ready(s) || !drain(s))
+                break;
         }
     }
     // All helpers have left their pull loops (the guard joined them), so
@@ -252,18 +277,6 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
                          std::min(windows, first + windows_per_shard)};
     };
 
-    if (!pool_ || !pool_->hasWorkers() || shards < 2) {
-        // Serial: compress and drain shards alternately on this thread.
-        for (uint64_t s = 0; s < shards; ++s) {
-            CompressedShard shard;
-            shard.index = s;
-            const auto [first, last] = bounds(s);
-            compressShardInto(input, first, last, shard);
-            consumer(std::move(shard));
-        }
-        return;
-    }
-
     std::vector<CompressedShard> results(shards);
     runOrderedShardFanOut(
         shards,
@@ -272,7 +285,14 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
             const auto [first, last] = bounds(s);
             compressShardInto(input, first, last, results[s]);
         },
-        [&](uint64_t s) { consumer(std::move(results[s])); });
+        [&](uint64_t s) {
+            // Move the shard out of its slot first, so its payload is
+            // freed when the consumer returns, not when the whole input
+            // has drained.
+            CompressedShard shard = std::move(results[s]);
+            consumer(std::move(shard));
+            return true;
+        });
 }
 
 Status
@@ -349,25 +369,12 @@ ParallelCompressor::decompressShards(
         return Status();
     };
 
-    if (!pool_ || !pool_->hasWorkers() || shards < 2) {
-        // Serial: reconstruct and drain shards alternately on this
-        // thread.
-        for (uint64_t s = 0; s < shards; ++s) {
-            DecompressedShard shard;
-            const Status status = expandShard(s, shard);
-            if (!status.ok())
-                return status;
-            consumer(shard);
-        }
-        return Status();
-    }
-
-    // Each worker writes a disjoint output slot; the shared rendezvous
-    // hands the notifications to the consumer strictly in shard order
-    // while later shards are still expanding. A shard's decode error
-    // travels with its result: the drain stage stops consuming at the
-    // first failed shard (in shard order), later successful shards are
-    // silently discarded, and the first error is returned.
+    // Each lane writes a disjoint output slot; the fan-out hands the
+    // notifications to the consumer strictly in shard order while later
+    // shards are still expanding. A shard's decode error travels with
+    // its result: the drain stops at the first failed shard (in shard
+    // order), later shards are abandoned or discarded, and the first
+    // error is returned.
     std::vector<DecompressedShard> results(shards);
     std::vector<Status> statuses(shards);
     Status first_error;
@@ -375,13 +382,12 @@ ParallelCompressor::decompressShards(
         shards,
         [&](uint64_t s) { statuses[s] = expandShard(s, results[s]); },
         [&](uint64_t s) {
-            if (!first_error.ok())
-                return;
             if (!statuses[s].ok()) {
                 first_error = statuses[s];
-                return;
+                return false;
             }
             consumer(results[s]);
+            return true;
         });
     return first_error;
 }

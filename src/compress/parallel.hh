@@ -159,14 +159,18 @@ class ParallelCompressor
     /**
      * Shard-streaming compression for the offload pipeline: the window
      * space is cut into shards of @p windows_per_shard consecutive
-     * windows (the last may be short), the lanes compress shards
-     * concurrently, and @p consumer is invoked on the calling thread for
-     * shard 0, 1, 2, ... as soon as each shard — and every shard before
-     * it — has been compressed. The consumer therefore drains shard k
-     * while the workers are still compressing shards k+1, k+2, ...;
-     * with one lane, shards are compressed and consumed alternately
-     * inline. Completion order is deterministic regardless of lane
-     * count. An empty input produces no shards.
+     * windows (the last may be short), every lane — the calling thread
+     * included — compresses shards concurrently through
+     * runOrderedShardFanOut(), and @p consumer is invoked on the
+     * calling thread for shard 0, 1, 2, ... as soon as each shard — and
+     * every shard before it — has been compressed. The consumer
+     * therefore drains shard k while the other lanes are still
+     * compressing shards k+1, k+2, ...; with one lane, shards are
+     * compressed and consumed alternately inline. Each shard's payload
+     * is freed when its consumer call returns (unless the consumer
+     * moved it out), so at most the shards in flight are held at once.
+     * Completion order is deterministic regardless of lane count. An
+     * empty input produces no shards.
      */
     void compressShards(std::span<const uint8_t> input,
                         uint64_t windows_per_shard,
@@ -176,43 +180,73 @@ class ParallelCompressor
      * Shard-streaming decompression for the prefetch pipeline — the
      * inverse of compressShards(): @p buffer's window space is cut into
      * shards of @p windows_per_shard consecutive windows (the last may
-     * be short), the lanes reconstruct shards concurrently straight
-     * into their slots of @p out (which must hold
+     * be short), every lane — the calling thread included —
+     * reconstructs shards concurrently through runOrderedShardFanOut(),
+     * straight into their slots of @p out (which must hold
      * buffer.original_bytes), and @p consumer is invoked on the calling
      * thread for shard 0, 1, 2, ... as soon as each shard — and every
-     * shard before it — has been reconstructed. Completion order is
-     * deterministic regardless of lane count; an empty buffer produces
-     * no shards.
+     * shard before it — has been reconstructed. With one lane, shards
+     * are reconstructed and consumed alternately inline. Completion
+     * order is deterministic regardless of lane count; an empty buffer
+     * produces no shards.
      *
      * A corrupt or truncated buffer returns the first failing shard's
      * decode error (by shard order), annotated with the shard index;
      * the consumer has then been invoked exactly for the shards before
-     * the failing one, and @p out is unspecified from the failing
-     * shard's slot onward.
+     * the failing one, the shards not yet claimed are abandoned, and
+     * @p out is unspecified from the failing shard's slot onward.
      */
     Status decompressShards(const CompressedBuffer &buffer,
                             uint64_t windows_per_shard, uint8_t *out,
                             const DecompressedShardConsumer &consumer) const;
 
+    /**
+     * The ordered shard fan-out behind compressShards(),
+     * decompressShards() and the arena prefetch: every lane runs
+     * @p work on shards it claims from one shared counter, and the
+     * calling thread runs @p drain for shard 0, 1, 2, ... as soon as
+     * each shard — and every shard before it — has completed. The
+     * caller is a lane too: while the next shard to drain is still
+     * being worked elsewhere, it claims and works an unclaimed shard,
+     * then checks again. With one lane (or one shard) it runs
+     * work(s), drain(s) for each shard in turn, inline.
+     *
+     * @p work may run on any lane, concurrently with other shards'
+     * work and with @p drain, so it must only touch its own shard's
+     * state. @p drain returns false to stop: unclaimed shards are
+     * abandoned and no later shard is drained. Every exit path
+     * (including a throwing @p drain) joins the helpers before the
+     * frame unwinds; a throwing @p work, on a worker or on the caller,
+     * abandons the remaining shards and the first such exception is
+     * rethrown here after the join.
+     */
+    template <typename Work, typename Drain>
+    void runOrderedShardFanOut(uint64_t shards, Work &&work,
+                               Drain &&drain) const
+    {
+        if (pool_ && pool_->hasWorkers() && shards >= 2) {
+            fanOutOnLanes(shards, work, drain);
+            return;
+        }
+        // One lane: work and drain shards alternately on this thread,
+        // with no type erasure and no synchronization.
+        for (uint64_t s = 0; s < shards; ++s) {
+            work(s);
+            if (!drain(s))
+                return;
+        }
+    }
+
   private:
+    /** runOrderedShardFanOut() across the pool workers and the caller
+     *  (requires workers and shards >= 2). */
+    void fanOutOnLanes(uint64_t shards,
+                       const std::function<void(uint64_t)> &work,
+                       const std::function<bool(uint64_t)> &drain) const;
+
     /** Compress windows [first, last) of @p input into @p shard. */
     void compressShardInto(std::span<const uint8_t> input, uint64_t first,
                            uint64_t last, CompressedShard &shard) const;
-
-    /**
-     * Shared rendezvous of compressShards/decompressShards: pool
-     * workers pull shard indices dynamically and run @p work on each;
-     * the calling thread runs @p drain for shard 0, 1, 2, ... as soon
-     * as each shard — and every shard before it — has completed. Every
-     * exit path (including a throwing @p drain) joins the helpers
-     * before the frame unwinds; a throwing @p work is captured on the
-     * worker, the remaining shards are abandoned, and the first such
-     * exception is rethrown here after the join. Requires pool workers
-     * and shards >= 2.
-     */
-    void runOrderedShardFanOut(
-        uint64_t shards, const std::function<void(uint64_t)> &work,
-        const std::function<void(uint64_t)> &drain) const;
 
     std::unique_ptr<Compressor> codec_;
     Codec codec_tag_ = Codec::Zvc; ///< cached codecFromName(codec_->name())

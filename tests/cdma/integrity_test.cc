@@ -7,12 +7,17 @@
  * degradation-to-raw-framing path, retry-budget exhaustion in both
  * directions, stored-shard CRC tampering, malformed stored framing,
  * retry-stall pricing on the DES timeline, and the analytic
- * expectation fold in planFromRatio.
+ * expectation fold in planFromRatio. The fault, tamper and framing
+ * cases run at 1, 2 and 4 lanes and must report the same Status,
+ * counters and bytes at each.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,14 +50,80 @@ makeInput(double density, size_t bytes, uint64_t seed)
 }
 
 CdmaEngine
-makeFaultyEngine(sim::FaultInjector *injector,
-                 RetryPolicy retry = RetryPolicy{})
+makeEngine(unsigned lanes, sim::FaultInjector *injector = nullptr,
+           RetryPolicy retry = RetryPolicy{})
 {
     CdmaConfig config;
+    config.compression.lanes = lanes;
     config.transfer.timing_mode = TimingMode::Overlapped;
     config.transfer.fault_injector = injector;
     config.transfer.retry = retry;
     return CdmaEngine(config);
+}
+
+/** What one integrity case observed at one lane count. */
+struct Outcome {
+    Status status;               ///< the first failure, or ok
+    TransferIntegrity integrity; ///< counters of every flow the case ran
+    ByteVec data;                ///< the bytes the last prefetch restored
+};
+
+void
+expectSameOutcome(const Outcome &actual, const Outcome &expected)
+{
+    EXPECT_EQ(actual.status.code(), expected.status.code());
+    EXPECT_EQ(actual.status.message(), expected.status.message());
+    const TransferIntegrity &a = actual.integrity;
+    const TransferIntegrity &e = expected.integrity;
+    EXPECT_EQ(a.attempts, e.attempts);
+    EXPECT_EQ(a.retries, e.retries);
+    EXPECT_EQ(a.crc_failures, e.crc_failures);
+    EXPECT_EQ(a.link_faults, e.link_faults);
+    EXPECT_EQ(a.degraded_shards, e.degraded_shards);
+    EXPECT_EQ(a.failed_wire_bytes, e.failed_wire_bytes);
+    EXPECT_DOUBLE_EQ(a.retry_stall_seconds, e.retry_stall_seconds);
+    EXPECT_TRUE(actual.data == expected.data) << "restored bytes differ";
+}
+
+/**
+ * Run @p scenario at 1, 2 and 4 lanes. The lanes only verify and
+ * expand (the fault process is sampled in shard order on the calling
+ * thread), so the Status, its message, the integrity counters and the
+ * restored bytes must match the one-lane run exactly. Returns the
+ * one-lane outcome.
+ */
+Outcome
+sameAtEveryLaneCount(const std::function<Outcome(unsigned)> &scenario)
+{
+    const Outcome serial = scenario(1);
+    for (const unsigned lanes : {2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << lanes << " lanes");
+        expectSameOutcome(scenario(lanes), serial);
+    }
+    return serial;
+}
+
+/** Offload @p input into @p arena and prefetch it back, folding the
+ *  counters and the restored bytes into @p out; returns the first
+ *  failure. The ticket is released either way. */
+Status
+spillAndRestore(const TransferEngine &transfers,
+                std::span<const uint8_t> input, SpillArena &arena,
+                Outcome &out)
+{
+    const StatusOr<SpilledOffload> spilled =
+        transfers.offloadInto(input, arena);
+    if (!spilled.ok())
+        return spilled.status();
+    out.integrity.accumulate(spilled->integrity);
+    const StatusOr<PrefetchResult> restored =
+        transfers.prefetch(arena, spilled->ticket);
+    arena.release(spilled->ticket);
+    if (!restored.ok())
+        return restored.status();
+    out.integrity.accumulate(restored->integrity);
+    out.data = restored->data;
+    return Status{};
 }
 
 TEST(Integrity, RetriesMaskBitFlipsByteIdentical)
@@ -60,31 +131,25 @@ TEST(Integrity, RetriesMaskBitFlipsByteIdentical)
     // A flip rate that guarantees rejected crossings over a few MB but
     // stays far from the retry budget: faults are detected (CRC), the
     // crossing repeats, and the restored bytes never see the damage.
-    sim::FaultConfig faults;
-    faults.bit_flip_rate_per_byte = 2e-6;
-    sim::FaultInjector injector(faults);
-    const CdmaEngine engine = makeFaultyEngine(&injector);
-    const TransferEngine transfers(engine);
     const auto input = makeInput(0.35, 4 << 20, 71);
+    const ByteVec expected(input.begin(), input.end());
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        sim::FaultConfig faults;
+        faults.bit_flip_rate_per_byte = 2e-6;
+        sim::FaultInjector injector(faults);
+        const CdmaEngine engine = makeEngine(lanes, &injector);
+        const TransferEngine transfers(engine);
+        SpillArena arena;
+        Outcome out;
+        for (int round = 0; round < 4 && out.status.ok(); ++round) {
+            out.status = spillAndRestore(transfers, input, arena, out);
+            EXPECT_TRUE(out.data == expected) << "round " << round;
+        }
+        return out;
+    });
 
-    SpillArena arena;
-    TransferIntegrity integrity;
-    bool identical = true;
-    for (int round = 0; round < 4; ++round) {
-        const StatusOr<SpilledOffload> spilled =
-            transfers.offloadInto(input, arena);
-        ASSERT_TRUE(spilled.ok()) << spilled.status().toString();
-        integrity.accumulate(spilled->integrity);
-        const StatusOr<PrefetchResult> restored =
-            transfers.prefetch(arena, spilled->ticket);
-        ASSERT_TRUE(restored.ok()) << restored.status().toString();
-        integrity.accumulate(restored->integrity);
-        identical = identical &&
-            restored->data == ByteVec(input.begin(), input.end());
-        arena.release(spilled->ticket);
-    }
-
-    EXPECT_TRUE(identical);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.toString();
+    const TransferIntegrity &integrity = outcome.integrity;
     EXPECT_GT(integrity.retries, 0u);
     EXPECT_GT(integrity.crc_failures, 0u);
     EXPECT_GT(integrity.attempts, integrity.retries);
@@ -99,29 +164,19 @@ TEST(Integrity, FaultSequenceIsDeterministicFromSeed)
     sim::FaultConfig faults;
     faults.bit_flip_rate_per_byte = 2e-6;
 
-    auto roundTrip = [&](TransferIntegrity &integrity) {
+    auto roundTrip = [&](unsigned lanes) {
         sim::FaultInjector injector(faults);
-        const CdmaEngine engine = makeFaultyEngine(&injector);
+        const CdmaEngine engine = makeEngine(lanes, &injector);
         const TransferEngine transfers(engine);
         SpillArena arena;
-        const StatusOr<SpilledOffload> spilled =
-            transfers.offloadInto(input, arena);
-        ASSERT_TRUE(spilled.ok());
-        integrity.accumulate(spilled->integrity);
-        const StatusOr<PrefetchResult> restored =
-            transfers.prefetch(arena, spilled->ticket);
-        ASSERT_TRUE(restored.ok());
-        integrity.accumulate(restored->integrity);
+        Outcome out;
+        out.status = spillAndRestore(transfers, input, arena, out);
+        return out;
     };
 
-    TransferIntegrity a, b;
-    roundTrip(a);
-    roundTrip(b);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.crc_failures, b.crc_failures);
-    EXPECT_EQ(a.link_faults, b.link_faults);
-    EXPECT_EQ(a.failed_wire_bytes, b.failed_wire_bytes);
+    const Outcome first = sameAtEveryLaneCount(roundTrip);
+    ASSERT_TRUE(first.status.ok()) << first.status.toString();
+    expectSameOutcome(roundTrip(1), first);
 }
 
 TEST(Integrity, RepeatedFaultsDegradeShardsToRawFraming)
@@ -130,118 +185,185 @@ TEST(Integrity, RepeatedFaultsDegradeShardsToRawFraming)
     // as raw bytes (the robustness analogue of store-raw). A generous
     // attempt budget keeps exhaustion out of the picture; the restored
     // bytes must still be identical because raw-framed shards memcpy.
-    sim::FaultConfig faults;
-    faults.truncate_rate = 0.5;
-    sim::FaultInjector injector(faults);
-    RetryPolicy retry;
-    retry.max_attempts = 64;
-    retry.raw_fallback_after = 2;
-    const CdmaEngine engine = makeFaultyEngine(&injector, retry);
-    const TransferEngine transfers(engine);
     const auto input = makeInput(0.3, 1 << 20, 73);
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        sim::FaultConfig faults;
+        faults.truncate_rate = 0.5;
+        sim::FaultInjector injector(faults);
+        RetryPolicy retry;
+        retry.max_attempts = 64;
+        retry.raw_fallback_after = 2;
+        const CdmaEngine engine = makeEngine(lanes, &injector, retry);
+        const TransferEngine transfers(engine);
 
-    SpillArena arena;
-    const StatusOr<SpilledOffload> spilled =
-        transfers.offloadInto(input, arena);
-    ASSERT_TRUE(spilled.ok()) << spilled.status().toString();
-    EXPECT_GT(spilled->integrity.degraded_shards, 0u);
-    EXPECT_GT(spilled->integrity.link_faults, 0u);
-
-    // Degraded shards carry raw framing in the arena...
-    bool saw_raw_framed = false;
-    for (size_t s = 0; s < arena.shardCount(spilled->ticket); ++s) {
-        const SpillShardView view = arena.shard(spilled->ticket, s);
-        if (view.raw_framed) {
-            saw_raw_framed = true;
-            EXPECT_EQ(view.payload.size(), view.raw_bytes);
+        SpillArena arena;
+        Outcome out;
+        const StatusOr<SpilledOffload> spilled =
+            transfers.offloadInto(input, arena);
+        if (!spilled.ok()) {
+            out.status = spilled.status();
+            return out;
         }
-    }
-    EXPECT_TRUE(saw_raw_framed);
+        out.integrity.accumulate(spilled->integrity);
 
-    // ...and the prefetch side restores them byte-identical.
-    const StatusOr<PrefetchResult> restored =
-        transfers.prefetch(arena, spilled->ticket);
-    ASSERT_TRUE(restored.ok()) << restored.status().toString();
-    EXPECT_EQ(restored->data, ByteVec(input.begin(), input.end()));
-    arena.release(spilled->ticket);
+        // Degraded shards carry raw framing in the arena...
+        bool saw_raw_framed = false;
+        for (size_t s = 0; s < arena.shardCount(spilled->ticket); ++s) {
+            const SpillShardView view = arena.shard(spilled->ticket, s);
+            if (view.raw_framed) {
+                saw_raw_framed = true;
+                EXPECT_EQ(view.payload.size(), view.raw_bytes);
+            }
+        }
+        EXPECT_TRUE(saw_raw_framed);
+
+        // ...and the prefetch side restores them byte-identical.
+        const StatusOr<PrefetchResult> restored =
+            transfers.prefetch(arena, spilled->ticket);
+        arena.release(spilled->ticket);
+        if (!restored.ok()) {
+            out.status = restored.status();
+            return out;
+        }
+        out.integrity.accumulate(restored->integrity);
+        out.data = restored->data;
+        return out;
+    });
+
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.toString();
+    EXPECT_GT(outcome.integrity.degraded_shards, 0u);
+    EXPECT_GT(outcome.integrity.link_faults, 0u);
+    EXPECT_EQ(outcome.data, ByteVec(input.begin(), input.end()));
 }
 
 TEST(Integrity, DeadLinkExhaustsOffloadRetryBudget)
 {
-    sim::FaultConfig faults;
-    faults.link_failure_rate = 1.0;
-    sim::FaultInjector injector(faults);
-    const CdmaEngine engine = makeFaultyEngine(&injector);
-    const TransferEngine transfers(engine);
     const auto input = makeInput(0.4, 1 << 18, 74);
-
-    SpillArena arena;
-    const StatusOr<SpilledOffload> spilled =
-        transfers.offloadInto(input, arena);
-    ASSERT_FALSE(spilled.ok());
-    EXPECT_EQ(spilled.status().code(), StatusCode::RetryExhausted)
-        << spilled.status().toString();
-    // The failed spill released its partially filled ticket.
-    EXPECT_EQ(arena.stats().live_buffers, 0u);
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        sim::FaultConfig faults;
+        faults.link_failure_rate = 1.0;
+        sim::FaultInjector injector(faults);
+        const CdmaEngine engine = makeEngine(lanes, &injector);
+        SpillArena arena;
+        Outcome out;
+        out.status = TransferEngine(engine).offloadInto(input, arena).status();
+        // The failed spill released its partially filled ticket.
+        EXPECT_EQ(arena.stats().live_buffers, 0u);
+        return out;
+    });
+    EXPECT_EQ(outcome.status.code(), StatusCode::RetryExhausted)
+        << outcome.status.toString();
 }
 
 TEST(Integrity, DeadLinkExhaustsPrefetchRetryBudget)
 {
     // Spill through a clean engine, prefetch through a dead link: the
     // prefetch direction owns its own fault process and must exhaust.
-    CdmaConfig clean_config;
-    clean_config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine clean(clean_config);
     const auto input = makeInput(0.4, 1 << 18, 75);
-    SpillArena arena;
-    const StatusOr<SpilledOffload> spilled =
-        TransferEngine(clean).offloadInto(input, arena);
-    ASSERT_TRUE(spilled.ok());
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        const CdmaEngine clean = makeEngine(lanes);
+        SpillArena arena;
+        Outcome out;
+        const StatusOr<SpilledOffload> spilled =
+            TransferEngine(clean).offloadInto(input, arena);
+        if (!spilled.ok()) {
+            out.status = spilled.status();
+            return out;
+        }
 
-    sim::FaultConfig faults;
-    faults.link_failure_rate = 1.0;
-    sim::FaultInjector injector(faults);
-    const CdmaEngine faulty = makeFaultyEngine(&injector);
-    const StatusOr<PrefetchResult> restored =
-        TransferEngine(faulty).prefetch(arena, spilled->ticket);
-    ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.status().code(), StatusCode::RetryExhausted)
-        << restored.status().toString();
+        sim::FaultConfig faults;
+        faults.link_failure_rate = 1.0;
+        sim::FaultInjector injector(faults);
+        const CdmaEngine faulty = makeEngine(lanes, &injector);
+        out.status =
+            TransferEngine(faulty).prefetch(arena, spilled->ticket).status();
 
-    // The pristine copy is still in the arena: a healthy link (or a
-    // recovered one) can still bring it back.
-    const StatusOr<PrefetchResult> recovered =
-        TransferEngine(clean).prefetch(arena, spilled->ticket);
-    ASSERT_TRUE(recovered.ok());
-    EXPECT_EQ(recovered->data, ByteVec(input.begin(), input.end()));
-    arena.release(spilled->ticket);
+        // The pristine copy is still in the arena: a healthy link (or a
+        // recovered one) can still bring it back.
+        const StatusOr<PrefetchResult> recovered =
+            TransferEngine(clean).prefetch(arena, spilled->ticket);
+        EXPECT_TRUE(recovered.ok()) << recovered.status().toString();
+        if (recovered.ok())
+            out.data = recovered->data;
+        arena.release(spilled->ticket);
+        return out;
+    });
+    EXPECT_EQ(outcome.status.code(), StatusCode::RetryExhausted)
+        << outcome.status.toString();
+    EXPECT_EQ(outcome.data, ByteVec(input.begin(), input.end()));
+}
+
+/** Flip one byte in the middle of each listed stored shard (spilled-
+ *  state rot rather than a wire fault). */
+void
+tamperShards(SpillArena &arena, SpillTicket ticket,
+             std::initializer_list<size_t> shards)
+{
+    for (const size_t s : shards) {
+        const SpillShardView view = arena.shard(ticket, s);
+        ASSERT_FALSE(view.payload.empty());
+        const_cast<uint8_t &>(view.payload[view.payload.size() / 2]) ^=
+            0x20;
+    }
 }
 
 TEST(Integrity, TamperedStoredShardFailsCrcVerification)
 {
-    // Corrupt a stored shard byte in host memory (spilled-state rot
-    // rather than a wire fault): the prefetch-side CRC check must
-    // reject it before any decode runs.
-    CdmaConfig config;
-    config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine engine(config);
-    const TransferEngine transfers(engine);
+    // Corrupt a stored shard byte in host memory: the prefetch-side CRC
+    // check must reject it before any decode runs.
     const auto input = makeInput(0.4, 1 << 18, 76);
-    SpillArena arena;
-    const StatusOr<SpilledOffload> spilled =
-        transfers.offloadInto(input, arena);
-    ASSERT_TRUE(spilled.ok());
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        const CdmaEngine engine = makeEngine(lanes);
+        const TransferEngine transfers(engine);
+        SpillArena arena;
+        Outcome out;
+        const StatusOr<SpilledOffload> spilled =
+            transfers.offloadInto(input, arena);
+        if (!spilled.ok()) {
+            out.status = spilled.status();
+            return out;
+        }
+        tamperShards(arena, spilled->ticket, {0});
+        out.status = transfers.prefetch(arena, spilled->ticket).status();
+        arena.release(spilled->ticket);
+        return out;
+    });
+    EXPECT_EQ(outcome.status.code(), StatusCode::IntegrityError)
+        << outcome.status.toString();
+}
 
-    const SpillShardView view = arena.shard(spilled->ticket, 0);
-    ASSERT_FALSE(view.payload.empty());
-    const_cast<uint8_t &>(view.payload[view.payload.size() / 2]) ^= 0x20;
-
-    const StatusOr<PrefetchResult> restored =
-        transfers.prefetch(arena, spilled->ticket);
-    ASSERT_FALSE(restored.ok());
-    EXPECT_EQ(restored.status().code(), StatusCode::IntegrityError)
-        << restored.status().toString();
-    arena.release(spilled->ticket);
+TEST(Integrity, TwoTamperedShardsReportTheFirstInShardOrder)
+{
+    // Shards 2 and 9 of a 16-shard spill are both damaged. Under the
+    // fan-out a lane can verify shard 9 before shard 2, but the drain
+    // reports errors in shard order, so every lane count names shard 2.
+    const auto input = makeInput(0.4, 1 << 18, 78);
+    const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+        CdmaConfig config;
+        config.compression.lanes = lanes;
+        config.transfer.timing_mode = TimingMode::Overlapped;
+        config.transfer.shard_bytes = 4 * config.compression.window_bytes;
+        const CdmaEngine engine(config);
+        const TransferEngine transfers(engine);
+        SpillArena arena;
+        Outcome out;
+        const StatusOr<SpilledOffload> spilled =
+            transfers.offloadInto(input, arena);
+        if (!spilled.ok()) {
+            out.status = spilled.status();
+            return out;
+        }
+        EXPECT_EQ(arena.shardCount(spilled->ticket), 16u);
+        tamperShards(arena, spilled->ticket, {2, 9});
+        out.status = transfers.prefetch(arena, spilled->ticket).status();
+        arena.release(spilled->ticket);
+        return out;
+    });
+    EXPECT_EQ(outcome.status.code(), StatusCode::IntegrityError)
+        << outcome.status.toString();
+    EXPECT_NE(outcome.status.message().find("spilled shard 2 CRC mismatch"),
+              std::string::npos)
+        << outcome.status.toString();
 }
 
 TEST(Integrity, MalformedStoredFramingIsRejectedBeforeExpansion)
@@ -249,19 +371,18 @@ TEST(Integrity, MalformedStoredFramingIsRejectedBeforeExpansion)
     // SpillArena::appendShard stores whatever framing its caller wrote,
     // and a CRC computed over a bad shard's own payload still matches.
     // Each shape below re-frames a genuine one-window shard and appends
-    // it to a fresh 4096-byte spill; the prefetch drain must turn
-    // framing that would copy past the output, slice past the payload
-    // or decode outside the spill into Status::corrupt.
-    CdmaConfig config;
-    config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine engine(config);
-    const TransferEngine transfers(engine);
-    const uint64_t window = engine.config().compression.window_bytes;
+    // it to a fresh spill of one or two windows; the prefetch must turn
+    // framing that would copy past the output, slice past the payload,
+    // decode outside the spill, leave part of the spill unwritten or
+    // write one window twice into Status::corrupt — before it samples
+    // a single crossing.
+    const CdmaEngine reference = makeEngine(1);
+    const uint64_t window = reference.config().compression.window_bytes;
     const auto input = makeInput(0.4, window, 77);
 
     SpillArena source;
     const StatusOr<SpilledOffload> spilled =
-        transfers.offloadInto(input, source);
+        TransferEngine(reference).offloadInto(input, source);
     ASSERT_TRUE(spilled.ok());
     ASSERT_EQ(source.shardCount(spilled->ticket), 1u);
     const SpillShardView genuine = source.shard(spilled->ticket, 0);
@@ -274,6 +395,8 @@ TEST(Integrity, MalformedStoredFramingIsRejectedBeforeExpansion)
         ByteVec payload;
         std::vector<uint32_t> window_sizes;
         StatusCode expect;
+        uint64_t spill_windows = 1; ///< windows the spill declares
+        int copies = 1;             ///< times the shard is appended
     };
     const ByteVec zvc(genuine.payload.begin(), genuine.payload.end());
     const auto zvc_bytes = static_cast<uint32_t>(zvc.size());
@@ -290,33 +413,52 @@ TEST(Integrity, MalformedStoredFramingIsRejectedBeforeExpansion)
          {zvc_bytes + 64}, StatusCode::Corrupt},
         {"first window beyond the spill", false, 5, zvc, {zvc_bytes},
          StatusCode::Corrupt},
+        {"only shard of a two-window spill frames window 0", false, 0,
+         zvc, {zvc_bytes}, StatusCode::Corrupt, 2},
+        {"two-window spill frames window 0 twice", false, 0, zvc,
+         {zvc_bytes}, StatusCode::Corrupt, 2, 2},
     };
     for (const Shape &shape : shapes) {
-        SpillArena arena;
-        const SpillTicket ticket = arena.beginSpill(window, window);
-        CompressedShard shard;
-        shard.first_window = shape.first_window;
-        shard.raw_bytes = window;
-        shard.payload = shape.payload;
-        shard.window_sizes = shape.window_sizes;
-        shard.raw_framed = shape.raw_framed;
-        shard.crc32c = activeKernels().crc32(0, shard.payload.data(),
-                                             shard.payload.size());
-        arena.appendShard(ticket, shard);
+        SCOPED_TRACE(shape.name);
+        const Outcome outcome = sameAtEveryLaneCount([&](unsigned lanes) {
+            // A fault process that never damages anything still counts
+            // the crossings it samples.
+            sim::FaultInjector injector(sim::FaultConfig{});
+            const CdmaEngine engine = makeEngine(lanes, &injector);
+            SpillArena arena;
+            const SpillTicket ticket =
+                arena.beginSpill(shape.spill_windows * window, window);
+            CompressedShard shard;
+            shard.first_window = shape.first_window;
+            shard.raw_bytes = window;
+            shard.payload = shape.payload;
+            shard.window_sizes = shape.window_sizes;
+            shard.raw_framed = shape.raw_framed;
+            shard.crc32c = activeKernels().crc32(0, shard.payload.data(),
+                                                 shard.payload.size());
+            for (int copy = 0; copy < shape.copies; ++copy) {
+                shard.index = static_cast<uint64_t>(copy);
+                arena.appendShard(ticket, shard);
+            }
 
-        const StatusOr<PrefetchResult> restored =
-            transfers.prefetch(arena, ticket);
+            Outcome out;
+            const StatusOr<PrefetchResult> restored =
+                TransferEngine(engine).prefetch(arena, ticket);
+            out.status = restored.status();
+            if (restored.ok()) {
+                out.integrity = restored->integrity;
+                out.data = restored->data;
+            }
+            EXPECT_EQ(injector.crossingsSampled(),
+                      restored.ok() ? 1u : 0u);
+            arena.release(ticket);
+            return out;
+        });
+        EXPECT_EQ(outcome.status.code(), shape.expect)
+            << outcome.status.toString();
         if (shape.expect == StatusCode::Ok) {
-            ASSERT_TRUE(restored.ok())
-                << shape.name << ": " << restored.status().toString();
-            EXPECT_EQ(restored->data, ByteVec(input.begin(), input.end()))
-                << shape.name;
-        } else {
-            ASSERT_FALSE(restored.ok()) << shape.name;
-            EXPECT_EQ(restored.status().code(), shape.expect)
-                << shape.name << ": " << restored.status().toString();
+            EXPECT_EQ(outcome.data, ByteVec(input.begin(), input.end()));
         }
-        arena.release(ticket);
     }
     source.release(spilled->ticket);
 }
@@ -329,9 +471,7 @@ TEST(Integrity, RetryStallIsPricedOnTheTimeline)
     // identically, so the difference is entirely fault-attributable.
     const auto input = makeInput(0.35, 4 << 20, 77);
 
-    CdmaConfig clean_config;
-    clean_config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine clean(clean_config);
+    const CdmaEngine clean = makeEngine(1);
     SpillArena clean_arena;
     const StatusOr<SpilledOffload> clean_spill =
         TransferEngine(clean).offloadInto(input, clean_arena);
@@ -345,7 +485,7 @@ TEST(Integrity, RetryStallIsPricedOnTheTimeline)
     sim::FaultConfig faults;
     faults.bit_flip_rate_per_byte = 2e-6;
     sim::FaultInjector injector(faults);
-    const CdmaEngine faulty = makeFaultyEngine(&injector);
+    const CdmaEngine faulty = makeEngine(1, &injector);
     SpillArena faulty_arena;
     const StatusOr<SpilledOffload> faulty_spill =
         TransferEngine(faulty).offloadInto(input, faulty_arena);
@@ -367,10 +507,8 @@ TEST(Integrity, PlanFromRatioFoldsExpectedRetries)
     sim::FaultConfig faults;
     faults.link_failure_rate = 0.2;
     sim::FaultInjector injector(faults);
-    const CdmaEngine faulty = makeFaultyEngine(&injector);
-    CdmaConfig clean_config;
-    clean_config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine clean(clean_config);
+    const CdmaEngine faulty = makeEngine(1, &injector);
+    const CdmaEngine clean = makeEngine(1);
 
     const uint64_t raw = 64ull << 20;
     const TransferPlan faulty_plan = faulty.planFromRatio("m", raw, 2.5);

@@ -8,9 +8,16 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -272,6 +279,120 @@ TEST(ShardFanOut, ThrowingConsumerOnDecompressJoinsAndRethrows)
         [](const ParallelCompressor::DecompressedShard &) {});
     ASSERT_TRUE(status.ok()) << status.toString();
     EXPECT_EQ(again, ByteVec(input.begin(), input.end()));
+}
+
+TEST(ShardFanOut, CallingThreadWorksShards)
+{
+    // At 2 lanes the caller is one of the two lanes: while the next
+    // shard to drain is still being worked, it claims and works one
+    // itself, so the ~1 ms shards land on two distinct threads and
+    // still drain strictly in order.
+    const ParallelCompressor parallel(Algorithm::Zvc, 4096, 2);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::set<std::thread::id> workers;
+    std::vector<int> worked(16, 0);
+    std::vector<uint64_t> drained;
+    std::atomic<bool> worker_started{false};
+    parallel.runOrderedShardFanOut(
+        16,
+        [&](uint64_t s) {
+            const bool on_caller = std::this_thread::get_id() == caller;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                workers.insert(std::this_thread::get_id());
+                ++worked[s];
+            }
+            if (!on_caller)
+                worker_started = true;
+            // However the threads are scheduled, the caller's shard
+            // stays open until the worker has started one of its own.
+            while (on_caller && !worker_started)
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        },
+        [&](uint64_t s) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            drained.push_back(s);
+            return true;
+        });
+
+    EXPECT_EQ(workers.size(), 2u);
+    EXPECT_EQ(workers.count(caller), 1u);
+    EXPECT_EQ(worked, std::vector<int>(16, 1));
+    std::vector<uint64_t> order(16);
+    std::iota(order.begin(), order.end(), 0);
+    EXPECT_EQ(drained, order);
+}
+
+TEST(ShardFanOut, ThrowingWorkOnCallerJoinsWorkersAndRethrows)
+{
+    // The caller's own work throws while the workers are mid-shard: the
+    // fan-out abandons the unclaimed shards, joins every worker before
+    // the frame unwinds, and rethrows — no shard after the failure is
+    // drained.
+    const ParallelCompressor parallel(Algorithm::Zvc, 4096, 4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> in_flight{0};
+    std::atomic<uint64_t> worked{0};
+    std::atomic<uint64_t> thrown_at{~0ull};
+    uint64_t drained = 0;
+    try {
+        parallel.runOrderedShardFanOut(
+            64,
+            [&](uint64_t s) {
+                if (std::this_thread::get_id() == caller) {
+                    thrown_at = s;
+                    throw std::runtime_error("caller lane failed");
+                }
+                // Workers hold their shard until the caller has thrown,
+                // so the caller is sure to claim one, and are still
+                // mid-shard when it reaches the join.
+                ++in_flight;
+                ++worked;
+                while (thrown_at == ~0ull)
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                --in_flight;
+            },
+            [&](uint64_t) {
+                ++drained;
+                return true;
+            });
+        FAIL() << "the caller's work exception was swallowed";
+    } catch (const std::runtime_error &error) {
+        EXPECT_STREQ(error.what(), "caller lane failed");
+    }
+    EXPECT_EQ(in_flight.load(), 0); // every worker joined
+    EXPECT_LE(drained, thrown_at.load()); // nothing from the failure on
+    EXPECT_LT(worked.load(), 63u); // the rest were abandoned
+
+    // The pool survives: a clean fan-out afterwards runs every shard.
+    std::atomic<uint64_t> again{0};
+    parallel.runOrderedShardFanOut(
+        8, [&](uint64_t) { ++again; }, [](uint64_t) { return true; });
+    EXPECT_EQ(again.load(), 8u);
+}
+
+TEST(ShardFanOut, InlineLaneKeepsShardOrder)
+{
+    // One lane: no pool, every shard works then drains on the caller,
+    // in order; a drain that returns false stops the fan-out there.
+    const ParallelCompressor parallel(Algorithm::Zvc, 4096, 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::string> events;
+    parallel.runOrderedShardFanOut(
+        6,
+        [&](uint64_t s) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            events.push_back("w" + std::to_string(s));
+        },
+        [&](uint64_t s) {
+            events.push_back("d" + std::to_string(s));
+            return s < 3;
+        });
+    EXPECT_EQ(events, (std::vector<std::string>{"w0", "d0", "w1", "d1",
+                                                 "w2", "d2", "w3", "d3"}));
 }
 
 TEST(CompressedBound, CoversWorstCaseWindows)
