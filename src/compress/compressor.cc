@@ -105,6 +105,11 @@ Compressor::decompress(const CompressedBuffer &buffer) const
     // leaves the bytes uninitialized; decompressWindowInto() writes every
     // byte of every slot, zeros included. Framing inconsistencies are
     // data errors (the framing crosses the wire too), not invariants.
+    if (buffer.window_bytes == 0 && !buffer.window_sizes.empty()) {
+        return Status::corrupt(
+            "compressed buffer frames %zu windows with a zero window size",
+            buffer.window_sizes.size());
+    }
     ByteVec out(buffer.original_bytes);
 
     uint64_t payload_offset = 0;

@@ -6,6 +6,7 @@
  * the inverse expand table for the prefetch-side mask scatter (vpermd
  * again, with vpmaskmovd keeping partial payload loads inside the live
  * bytes), and 256-bit strides for the run scans and match extension.
+ * Each ZVC op runs its group routine in one loop over the whole span.
  * Compiled
  * with per-function target attributes so the translation unit builds on
  * any x86-64 toolchain regardless of -march; whether the code ever runs
@@ -16,10 +17,13 @@
 
 #include "compress/kernels/kernels.hh"
 
+#include "compress/kernels/crc32c.hh"
+
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -88,8 +92,12 @@ loadWord(const uint8_t *p)
     return value;
 }
 
-CDMA_AVX2 uint32_t
-zvcCompactGroupAvx2(const uint8_t *src, uint32_t words, uint8_t *dst)
+/**
+ * Mask-and-left-pack of one ZVC group (1..32 words) to @p dst; returns
+ * the mask.
+ */
+CDMA_AVX2 inline uint32_t
+compactGroup(const uint8_t *src, uint32_t words, uint8_t *dst)
 {
     const __m256i zero = _mm256_setzero_si256();
     uint32_t mask = 0;
@@ -134,9 +142,27 @@ zvcCompactGroupAvx2(const uint8_t *src, uint32_t words, uint8_t *dst)
     return mask;
 }
 
-CDMA_AVX2 uint32_t
-zvcExpandGroupAvx2(const uint8_t *src, uint32_t mask, uint32_t words,
-                   uint8_t *dst)
+CDMA_AVX2 size_t
+zvcCompactWordsAvx2(const uint8_t *src, uint64_t words, uint8_t *dst)
+{
+    uint8_t *const start = dst;
+    for (uint64_t w = 0; w < words; w += kZvcGroupWords) {
+        const auto group = static_cast<uint32_t>(
+            std::min<uint64_t>(kZvcGroupWords, words - w));
+        const uint32_t mask = compactGroup(src + w * 4, group, dst + 4);
+        std::memcpy(dst, &mask, sizeof(mask));
+        dst += 4 + 4 * static_cast<size_t>(std::popcount(mask));
+    }
+    return static_cast<size_t>(dst - start);
+}
+
+/**
+ * Scatter of one ZVC group (1..32 words) from its packed words at
+ * @p src, which hold exactly 4 * popcount(@p mask) readable bytes.
+ */
+CDMA_AVX2 inline void
+expandGroup(const uint8_t *src, uint32_t mask, uint32_t words,
+            uint8_t *dst)
 {
     const __m256i lane_bit =
         _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
@@ -200,7 +226,29 @@ zvcExpandGroupAvx2(const uint8_t *src, uint32_t mask, uint32_t words,
         }
         std::memcpy(dst + w * 4, &value, 4);
     }
-    return static_cast<uint32_t>(consumed);
+}
+
+CDMA_AVX2 size_t
+zvcExpandWordsAvx2(const uint8_t *src, size_t len, uint64_t words,
+                   uint8_t *dst)
+{
+    size_t cursor = 0;
+    for (uint64_t w = 0; w < words; w += kZvcGroupWords) {
+        const auto group = static_cast<uint32_t>(
+            std::min<uint64_t>(kZvcGroupWords, words - w));
+        if (len - cursor < 4)
+            return kZvcMalformed;
+        uint32_t mask = loadWord(src + cursor);
+        cursor += 4;
+        if (group < kZvcGroupWords)
+            mask &= (1u << group) - 1u;
+        const size_t live = 4 * static_cast<size_t>(std::popcount(mask));
+        if (len - cursor < live)
+            return kZvcMalformed;
+        expandGroup(src + cursor, mask, group, dst + w * 4);
+        cursor += live;
+    }
+    return cursor;
 }
 
 CDMA_AVX2 uint64_t
@@ -326,52 +374,6 @@ zeroFillBytesAvx2(uint8_t *dst, size_t n)
         std::memset(dst + i, 0, n - i);
 }
 
-/** CRC-32C polynomial 0x1EDC6F41, bit-reflected. */
-constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
-
-/**
- * Product of two polynomials modulo the CRC-32C polynomial, in the
- * reflected bit order of the CRC register (bit 31 is the x^0
- * coefficient).
- */
-constexpr uint32_t
-crc32cMulMod(uint32_t a, uint32_t b)
-{
-    uint32_t product = 0;
-    for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
-        if (a & m)
-            product ^= b;
-        b = (b & 1u) ? (b >> 1) ^ kCrc32cPoly : b >> 1;
-    }
-    return product;
-}
-
-/**
- * "Append N zero bytes" as a table: feeding zeros to the CRC register
- * multiplies it by x^(8 * N) mod P, a linear map, so it splits into one
- * 256-entry table per register byte:
- * shift(r) = t[0][r & 0xFF] ^ t[1][(r >> 8) & 0xFF] ^ ... ^ t[3][r >> 24].
- */
-using Crc32cShiftTable = std::array<std::array<uint32_t, 256>, 4>;
-
-constexpr Crc32cShiftTable
-makeCrc32cShiftTable(size_t zero_bytes)
-{
-    uint32_t op = 1u << 31;     // x^0
-    uint32_t square = 1u << 23; // x^8: one zero byte
-    for (size_t n = zero_bytes; n != 0; n >>= 1) {
-        if (n & 1u)
-            op = crc32cMulMod(square, op);
-        square = crc32cMulMod(square, square);
-    }
-    Crc32cShiftTable table{};
-    for (uint32_t k = 0; k < 4; ++k) {
-        for (uint32_t b = 0; b < 256; ++b)
-            table[k][b] = crc32cMulMod(op, b << (8 * k));
-    }
-    return table;
-}
-
 /**
  * Per-stream lengths of the three-stream CRC blocks: a long block is
  * 3 x 8 KB, a short block 3 x 256 B. Long blocks amortize the two
@@ -383,13 +385,6 @@ constexpr size_t kCrcShortStream = 256;
 
 constexpr auto kCrcLongShift = makeCrc32cShiftTable(kCrcLongStream);
 constexpr auto kCrcShortShift = makeCrc32cShiftTable(kCrcShortStream);
-
-inline uint32_t
-crc32cShift(const Crc32cShiftTable &table, uint32_t crc)
-{
-    return table[0][crc & 0xFFu] ^ table[1][(crc >> 8) & 0xFFu] ^
-        table[2][(crc >> 16) & 0xFFu] ^ table[3][crc >> 24];
-}
 
 inline uint64_t
 loadQword(const uint8_t *p)
@@ -427,6 +422,10 @@ crc32HwStreams(uint64_t crc, const uint8_t *data, size_t n, size_t &i,
     return crc;
 }
 
+#undef CDMA_AVX2
+
+} // namespace
+
 /**
  * Hardware CRC32C on the SSE4.2 crc32 instruction, three streams wide
  * (Intel, "Fast CRC Computation for iSCSI Polynomial Using CRC32
@@ -437,7 +436,7 @@ crc32HwStreams(uint64_t crc, const uint8_t *data, size_t n, size_t &i,
  * regardless of -march.
  */
 __attribute__((target("sse4.2"))) uint32_t
-crc32Hw(uint32_t seed, const uint8_t *data, size_t n)
+crc32cStreams(uint32_t seed, const uint8_t *data, size_t n)
 {
     uint64_t crc = ~seed;
     size_t i = 0;
@@ -450,23 +449,19 @@ crc32Hw(uint32_t seed, const uint8_t *data, size_t n)
     return ~static_cast<uint32_t>(crc);
 }
 
-#undef CDMA_AVX2
-
-} // namespace
-
 const KernelOps *
 avx2Kernels()
 {
     static const KernelOps ops = {
         "avx2",
-        zvcCompactGroupAvx2,
-        zvcExpandGroupAvx2,
+        zvcCompactWordsAvx2,
+        zvcExpandWordsAvx2,
         zeroRunWordsAvx2,
         literalRunWordsAvx2,
         matchLengthAvx2,
         copyBytesAvx2,
         zeroFillBytesAvx2,
-        crc32Hw,
+        crc32cStreams,
     };
     // Every AVX2 part ships SSE4.2, but the hardware CRC makes the
     // dependency explicit rather than assumed.

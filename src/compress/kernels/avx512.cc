@@ -2,17 +2,18 @@
  * @file
  * AVX-512 kernel backend. The ZVC primitives stop simulating the
  * hardware shift network and *use* it: `vpcompressd` performs the
- * mask-driven left-pack of a 16-word sub-block in one instruction (no
+ * mask-driven left-pack of a 16-word half group in one instruction (no
  * shuffle table — the 2 KB AVX2 lookup disappears), and `vpexpandd` is
- * its exact inverse for the prefetch-side scatter, with the masked
- * expand-load keeping every access inside the live payload bytes.
- * Mask formation is `vptestmd`/`vpcmpeqd` into mask registers (no
- * movemask round trip through the integer file), run scans and match
- * extension stride 64 bytes per probe with a mask-register test
- * (`kortest`) as the early exit, and the byte-sink ops use unaligned
- * 512-bit loads/stores with a scalar tail. Sub-16-word tails ride
- * masked loads/stores instead of scalar loops, so even a 9-word group
- * is a single masked op.
+ * its exact inverse for the prefetch-side scatter. Both run in register
+ * form inside one loop over the whole span, two halves per 32-word
+ * group, with loads and stores masked to the popcount so every access
+ * stays inside the live payload bytes. Mask formation is
+ * `vptestmd`/`vpcmpeqd` into mask registers (no movemask round trip
+ * through the integer file), run scans and match extension stride 64
+ * bytes per probe with a mask-register test (`kortest`) as the early
+ * exit, and the byte-sink ops use unaligned 512-bit loads/stores with a
+ * scalar tail. Where CPUID reports VPCLMULQDQ, the CRC-32C folds 512
+ * bits per carry-less multiply.
  *
  * Compiled with per-function target attributes so the translation unit
  * builds on any x86-64 toolchain regardless of -march; whether the code
@@ -24,10 +25,13 @@
 
 #include "compress/kernels/kernels.hh"
 
+#include "compress/kernels/crc32c.hh"
+
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -37,89 +41,166 @@ namespace {
 
 #define CDMA_AVX512 __attribute__((target("avx512f,avx512bw,avx512vl")))
 
-CDMA_AVX512 uint32_t
-zvcCompactGroupAvx512(const uint8_t *src, uint32_t words, uint8_t *dst)
+/** The low @p n lanes of a 16-lane mask (n <= 16). */
+inline __mmask16
+lowLanes(uint32_t n)
 {
-    uint32_t mask = 0;
-    uint32_t w = 0;
-    while (w + 16 <= words) {
-        const __m512i v = _mm512_loadu_si512(src + w * 4);
-        // vptestmd: one instruction from vector to non-zero lane mask —
-        // no compare-and-movemask round trip.
-        const __mmask16 nz = _mm512_test_epi32_mask(v, v);
-        // All-zero sub-blocks (the common case in sparse activation
-        // pages) emit nothing and skip the store entirely.
-        if (nz != 0) {
-            // vpcompressd: the hardware left-pack. Exactly
-            // 4 * popcount(nz) bytes are written, so the write pointer
-            // never lags — no scratch headroom consumed at all.
-            _mm512_mask_compressstoreu_epi32(dst, nz, v);
-            dst += 4u * static_cast<uint32_t>(
-                std::popcount(static_cast<uint32_t>(nz)));
-            mask |= static_cast<uint32_t>(nz) << w;
-        }
-        w += 16;
-    }
-    // Sub-block tail (1..15 words): one masked load keeps the read
-    // inside the group, then the same testm + compress-store sequence.
-    if (w < words) {
-        const __mmask16 live = static_cast<__mmask16>(
-            (1u << (words - w)) - 1u);
-        const __m512i v = _mm512_maskz_loadu_epi32(live, src + w * 4);
-        const __mmask16 nz = _mm512_test_epi32_mask(v, v);
-        if (nz != 0) {
-            _mm512_mask_compressstoreu_epi32(dst, nz, v);
-            mask |= static_cast<uint32_t>(nz) << w;
-        }
-    }
-    return mask;
+    return static_cast<__mmask16>((1u << n) - 1u);
 }
 
-CDMA_AVX512 uint32_t
-zvcExpandGroupAvx512(const uint8_t *src, uint32_t mask, uint32_t words,
+inline uint32_t
+loadWord(const uint8_t *p)
+{
+    uint32_t value;
+    std::memcpy(&value, p, sizeof(value));
+    return value;
+}
+
+/**
+ * Mask-and-left-pack of one group held in two 16-word halves (@p lo,
+ * @p hi; dead lanes of a short group are zero): vptestmd forms each
+ * half's mask, the 4-byte group mask goes to @p dst, and each half is
+ * packed by register vpcompressd and stored masked to its popcount, so
+ * exactly the live bytes are written (2-7% faster than the memory form
+ * of vpcompressd in a whole-window loop on Zen 5). Returns the group's
+ * payload bytes.
+ */
+CDMA_AVX512 inline size_t
+compactGroup(__m512i lo, __m512i hi, uint8_t *dst)
+{
+    const __mmask16 nz_lo = _mm512_test_epi32_mask(lo, lo);
+    const __mmask16 nz_hi = _mm512_test_epi32_mask(hi, hi);
+    const uint32_t mask = static_cast<uint32_t>(nz_lo) |
+        (static_cast<uint32_t>(nz_hi) << 16);
+    std::memcpy(dst, &mask, sizeof(mask));
+    const auto n_lo = static_cast<uint32_t>(
+        std::popcount(static_cast<uint32_t>(nz_lo)));
+    const auto n_hi = static_cast<uint32_t>(
+        std::popcount(static_cast<uint32_t>(nz_hi)));
+    _mm512_mask_storeu_epi32(dst + 4, lowLanes(n_lo),
+                             _mm512_maskz_compress_epi32(nz_lo, lo));
+    _mm512_mask_storeu_epi32(dst + 4 + 4 * n_lo, lowLanes(n_hi),
+                             _mm512_maskz_compress_epi32(nz_hi, hi));
+    return 4 + 4 * static_cast<size_t>(n_lo + n_hi);
+}
+
+CDMA_AVX512 size_t
+zvcCompactWordsAvx512(const uint8_t *src, uint64_t words, uint8_t *dst)
+{
+    uint8_t *const start = dst;
+    uint64_t w = 0;
+    for (; w + kZvcGroupWords <= words; w += kZvcGroupWords) {
+        const uint8_t *group = src + w * 4;
+        dst += compactGroup(_mm512_loadu_si512(group),
+                            _mm512_loadu_si512(group + 64), dst);
+    }
+    // Short final group (1..31 words): masked loads keep the reads
+    // inside the span and zero the dead lanes, which then test as zero.
+    if (w < words) {
+        const auto rest = static_cast<uint32_t>(words - w);
+        const uint8_t *group = src + w * 4;
+        dst += compactGroup(
+            _mm512_maskz_loadu_epi32(lowLanes(std::min(rest, 16u)), group),
+            _mm512_maskz_loadu_epi32(
+                lowLanes(rest > 16 ? rest - 16 : 0), group + 64),
+            dst);
+    }
+    return static_cast<size_t>(dst - start);
+}
+
+/**
+ * One 16-word half of a group scatter: a load masked to the half's
+ * popcount touches exactly its live payload bytes (disabled lanes are
+ * never accessed), and register vpexpandd routes them to their mask
+ * positions with zeros elsewhere.
+ */
+CDMA_AVX512 inline __m512i
+expandHalf(const uint8_t *src, __mmask16 mask)
+{
+    const auto live = static_cast<uint32_t>(
+        std::popcount(static_cast<uint32_t>(mask)));
+    return _mm512_maskz_expand_epi32(
+        mask, _mm512_maskz_loadu_epi32(lowLanes(live), src));
+}
+
+/**
+ * Scatter of one group of @p words (1..32) words from its packed words
+ * at @p src. Full groups with every word live (the whole page at 100%
+ * density, most of it anywhere dense) are a plain 128-byte copy:
+ * vpexpandd's cross-lane routing costs half the d100 rate there.
+ */
+CDMA_AVX512 inline void
+expandGroup(const uint8_t *src, uint32_t mask, uint32_t words,
+            uint8_t *dst)
+{
+    const auto lo_mask = static_cast<__mmask16>(mask);
+    const auto hi_mask = static_cast<__mmask16>(mask >> 16);
+    const size_t hi_offset = 4 * static_cast<size_t>(
+        std::popcount(static_cast<uint32_t>(lo_mask)));
+    if (words == kZvcGroupWords) {
+        if (mask == ~0u) {
+            _mm512_storeu_si512(dst, _mm512_loadu_si512(src));
+            _mm512_storeu_si512(dst + 64, _mm512_loadu_si512(src + 64));
+            return;
+        }
+        _mm512_storeu_si512(dst, expandHalf(src, lo_mask));
+        _mm512_storeu_si512(dst + 64, expandHalf(src + hi_offset, hi_mask));
+        return;
+    }
+    // Short final group: the stores are masked to its words.
+    _mm512_mask_storeu_epi32(dst, lowLanes(std::min(words, 16u)),
+                             expandHalf(src, lo_mask));
+    _mm512_mask_storeu_epi32(dst + 64,
+                             lowLanes(words > 16 ? words - 16 : 0),
+                             expandHalf(src + hi_offset, hi_mask));
+}
+
+/**
+ * Bounds-check the group of @p words words whose mask sits at
+ * @p src + @p cursor against @p len, scatter it to @p dst and move
+ * @p cursor past it. Returns false, having written nothing, when the
+ * mask or the words it promises do not fit. The cursor steps past the
+ * mask before the live check so that its loop-carried update stays
+ * two single-cycle adds; a fused three-operand lea cost 10% of the
+ * expand rate on Zen 5.
+ */
+CDMA_AVX512 inline bool
+expandNextGroup(const uint8_t *src, size_t len, size_t &cursor,
+                uint32_t words, uint8_t *dst)
+{
+    if (len - cursor < 4)
+        return false;
+    uint32_t mask = loadWord(src + cursor);
+    cursor += 4;
+    if (words < kZvcGroupWords)
+        mask &= (1u << words) - 1u;
+    const size_t live = 4 * static_cast<size_t>(std::popcount(mask));
+    if (len - cursor < live)
+        return false;
+    expandGroup(src + cursor, mask, words, dst);
+    cursor += live;
+    return true;
+}
+
+CDMA_AVX512 size_t
+zvcExpandWordsAvx512(const uint8_t *src, size_t len, uint64_t words,
                      uint8_t *dst)
 {
-    size_t consumed = 0;
-    uint32_t w = 0;
-    while (w + 16 <= words) {
-        const __mmask16 m =
-            static_cast<__mmask16>((mask >> w) & 0xFFFFu);
-        // Full sub-blocks (the whole page at 100% density, most of it
-        // anywhere dense) need no expansion at all — a plain 64-byte
-        // copy beats vpexpandd's cross-lane routing there.
-        if (m == 0xFFFFu) {
-            _mm512_storeu_si512(dst + w * 4,
-                                _mm512_loadu_si512(src + consumed));
-            consumed += 64;
-            w += 16;
-            continue;
-        }
-        // vpexpandd with a zeroing mask is the whole scatter: payload
-        // words route to their mask positions, clear lanes become the
-        // zeros. The expand-load touches exactly the 4 * popcount(m)
-        // live payload bytes (disabled lanes are never accessed), which
-        // is precisely what the payload-boundary contract allows.
-        const __m512i scattered =
-            _mm512_maskz_expandloadu_epi32(m, src + consumed);
-        _mm512_storeu_si512(dst + w * 4, scattered);
-        consumed += 4u * static_cast<uint32_t>(
-            std::popcount(static_cast<uint32_t>(m)));
-        w += 16;
+    // Full groups pass a constant width, so their inlined copy drops
+    // the group-length tests; the short final group takes its own call.
+    // One loop over both, as in the scalar and avx2 backends, read 5%
+    // lower alexnet-trained-small roundtrip_gbps on a Zen 5 host.
+    size_t cursor = 0;
+    uint64_t w = 0;
+    for (; w + kZvcGroupWords <= words; w += kZvcGroupWords) {
+        if (!expandNextGroup(src, len, cursor, kZvcGroupWords, dst + w * 4))
+            return kZvcMalformed;
     }
-    // Sub-block tail (1..15 words): bits of mask at or above words are
-    // clear by contract, so the same expand-load stays inside the live
-    // payload; the store is masked to the group's words.
-    if (w < words) {
-        const __mmask16 live = static_cast<__mmask16>(
-            (1u << (words - w)) - 1u);
-        const __mmask16 m = static_cast<__mmask16>(mask >> w);
-        const __m512i scattered =
-            _mm512_maskz_expandloadu_epi32(m, src + consumed);
-        _mm512_mask_storeu_epi32(dst + w * 4, live, scattered);
-        consumed += 4u * static_cast<uint32_t>(
-            std::popcount(static_cast<uint32_t>(m)));
-    }
-    return static_cast<uint32_t>(consumed);
+    if (w < words &&
+        !expandNextGroup(src, len, cursor, static_cast<uint32_t>(words - w),
+                         dst + w * 4))
+        return kZvcMalformed;
+    return cursor;
 }
 
 CDMA_AVX512 uint64_t
@@ -261,6 +342,104 @@ zeroFillBytesAvx512(uint8_t *dst, size_t n)
         std::memset(dst + i, 0, n - i);
 }
 
+#define CDMA_AVX512_CLMUL                                              \
+    __attribute__((                                                    \
+        target("avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.2")))
+
+/** Four zmm accumulators: the main loop folds 256 bytes per step. */
+constexpr size_t kFoldStride = 256;
+
+constexpr Crc32cFold kFold256 = crc32cFold(kFoldStride);
+constexpr Crc32cFold kFold64 = crc32cFold(64);
+constexpr Crc32cFold kFold48 = crc32cFold(48);
+constexpr Crc32cFold kFold32 = crc32cFold(32);
+constexpr Crc32cFold kFold16 = crc32cFold(16);
+
+CDMA_AVX512_CLMUL inline __m512i
+foldConstants512(Crc32cFold fold)
+{
+    const auto lo = static_cast<long long>(fold.lo);
+    const auto hi = static_cast<long long>(fold.hi);
+    return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+/**
+ * 128-bit lane @p index of @p lanes. (The zero-masked extract: GCC 12
+ * flags the unmasked form's undefined pass-through operand with
+ * -Wmaybe-uninitialized.)
+ */
+template <int index>
+CDMA_AVX512_CLMUL inline __m128i
+lane128(__m512i lanes)
+{
+    return _mm512_maskz_extracti32x4_epi32(0xF, lanes, index);
+}
+
+/** All four 128-bit lanes of @p lanes moved forward, XORed into @p next. */
+CDMA_AVX512_CLMUL inline __m512i
+fold512(__m512i lanes, __m512i k, __m512i next)
+{
+    return _mm512_ternarylogic_epi64(
+        _mm512_clmulepi64_epi128(lanes, k, 0x00),
+        _mm512_clmulepi64_epi128(lanes, k, 0x11), next, 0x96);
+}
+
+/** One 128-bit lane moved forward by the distance of @p fold. */
+CDMA_AVX512_CLMUL inline __m128i
+fold128(__m128i lane, Crc32cFold fold)
+{
+    const __m128i k = _mm_set_epi64x(static_cast<long long>(fold.hi),
+                                     static_cast<long long>(fold.lo));
+    return _mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00),
+                         _mm_clmulepi64_si128(lane, k, 0x11));
+}
+
+/**
+ * CRC-32C by 512-bit carry-less-multiply folds (the math is in
+ * crc32c.hh): the register joins the first 4 bytes, four accumulators
+ * fold 256 bytes per step, join by 64-byte folds, and one accumulator
+ * folds on 64 bytes at a time. Its four lanes join by folds of 48, 32
+ * and 16 bytes, two crc32q reduce the last lane to a register, and the
+ * crc32 walk takes the final 0..63 bytes. Inputs shorter than one
+ * stride take the crc32 walk whole.
+ */
+CDMA_AVX512_CLMUL uint32_t
+crc32Fold512(uint32_t seed, const uint8_t *data, size_t n)
+{
+    if (n < kFoldStride)
+        return crc32cStreams(seed, data, n);
+    __m512i x0 = _mm512_xor_si512(
+        _mm512_loadu_si512(data),
+        _mm512_maskz_set1_epi32(1, static_cast<int>(~seed)));
+    __m512i x1 = _mm512_loadu_si512(data + 64);
+    __m512i x2 = _mm512_loadu_si512(data + 128);
+    __m512i x3 = _mm512_loadu_si512(data + 192);
+    size_t i = kFoldStride;
+    const __m512i k256 = foldConstants512(kFold256);
+    for (; n - i >= kFoldStride; i += kFoldStride) {
+        x0 = fold512(x0, k256, _mm512_loadu_si512(data + i));
+        x1 = fold512(x1, k256, _mm512_loadu_si512(data + i + 64));
+        x2 = fold512(x2, k256, _mm512_loadu_si512(data + i + 128));
+        x3 = fold512(x3, k256, _mm512_loadu_si512(data + i + 192));
+    }
+    const __m512i k64 = foldConstants512(kFold64);
+    x1 = fold512(x0, k64, x1);
+    x2 = fold512(x1, k64, x2);
+    x3 = fold512(x2, k64, x3);
+    for (; n - i >= 64; i += 64)
+        x3 = fold512(x3, k64, _mm512_loadu_si512(data + i));
+    const __m128i lane = _mm_ternarylogic_epi64(
+        fold128(lane128<0>(x3), kFold48), fold128(lane128<1>(x3), kFold32),
+        _mm_xor_si128(fold128(lane128<2>(x3), kFold16), lane128<3>(x3)),
+        0x96);
+    uint64_t crc =
+        _mm_crc32_u64(0, static_cast<uint64_t>(_mm_cvtsi128_si64(lane)));
+    crc = _mm_crc32_u64(crc,
+                        static_cast<uint64_t>(_mm_extract_epi64(lane, 1)));
+    return crc32cStreams(~static_cast<uint32_t>(crc), data + i, n - i);
+}
+
+#undef CDMA_AVX512_CLMUL
 #undef CDMA_AVX512
 
 } // namespace
@@ -270,9 +449,10 @@ avx512Kernels()
 {
     // F covers the dword compress/expand/test ops, BW the byte-granular
     // match compare, VL the EVEX forms the compiler may pick for
-    // intermediates. Every such part also has AVX2+SSE4.2, so the
-    // hardware CRC32C is shared with the AVX2 table — it is the same
-    // instruction either way.
+    // intermediates. Every such part also has AVX2+SSE4.2; without
+    // VPCLMULQDQ (Skylake-X, Cascade Lake) the CRC32C is the AVX2
+    // table's three crc32 streams, which on those hosts may not keep
+    // pace with the compaction above (docs/robustness.md).
     static const bool supported = __builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512vl") && avx2Kernels() != nullptr;
@@ -280,14 +460,17 @@ avx512Kernels()
         return nullptr;
     static const KernelOps ops = {
         "avx512",
-        zvcCompactGroupAvx512,
-        zvcExpandGroupAvx512,
+        zvcCompactWordsAvx512,
+        zvcExpandWordsAvx512,
         zeroRunWordsAvx512,
         literalRunWordsAvx512,
         matchLengthAvx512,
         copyBytesAvx512,
         zeroFillBytesAvx512,
-        avx2Kernels()->crc32,
+        __builtin_cpu_supports("vpclmulqdq") &&
+                __builtin_cpu_supports("pclmul")
+            ? crc32Fold512
+            : crc32cStreams,
     };
     return &ops;
 }

@@ -15,10 +15,15 @@
  * DEFLATE tokenizer together.
  *
  * The table covers both directions: the compaction ops feed the offload
- * leg, and the expand ops (zvcExpandGroup's mask-driven scatter — the
+ * leg, and the expand ops (zvcExpandWords' mask-driven scatter — the
  * inverse shuffle-table lookup — plus the zero-fill used by RLE run
  * reconstruction) feed the prefetch leg, so the decompressor can keep
  * pace with the link the way Section V-B provisions the DPE replicas.
+ * The ZVC ops take a whole window of words: the hardware streams
+ * 32-word groups through its mask and prefix-sum network with no
+ * per-group control step, so each backend runs its group routine inside
+ * one loop and the codec makes one table call per window in each
+ * direction.
  *
  * Dispatch is decided once at startup: CPUID picks the widest supported
  * backend, and the CDMA_KERNEL_BACKEND environment variable ("scalar",
@@ -27,7 +32,9 @@
  * legs; an unsupported or unknown name is fatal and the message lists
  * the backends this host actually supports. Codecs
  * capture the table at construction, so every lane of a
- * ParallelCompressor shares the codec's single dispatch decision.
+ * ParallelCompressor shares the codec's single dispatch decision. The
+ * AVX-512 table also picks its CRC-32C once, from CPUID, when it is
+ * first built (see KernelOps::crc32); there is no option for it.
  *
  * Every backend must produce *byte-identical* codec output: the table
  * changes how the masks and runs are computed, never what is emitted.
@@ -45,6 +52,16 @@
 
 namespace cdma {
 
+/** Words covered by one ZVC mask: a group is a 4-byte mask + its words. */
+inline constexpr uint32_t kZvcGroupWords = 32;
+
+/**
+ * What KernelOps::zvcExpandWords returns when the payload cannot hold
+ * what its masks promise. The codec then walks the masks itself to
+ * report where (zvc.cc).
+ */
+inline constexpr size_t kZvcMalformed = SIZE_MAX;
+
 /**
  * The primitive hot operations of the codec stack, as a flat function
  * table. All word offsets/counts are in 4-byte (fp32 activation) words.
@@ -54,35 +71,39 @@ struct KernelOps {
     const char *name;
 
     /**
-     * ZVC group op: form the non-zero mask over @p words (1..32)
-     * consecutive 32-bit words at @p src and left-pack the non-zero words
-     * to @p dst in order (the software mirror of the hardware prefix-sum
-     * shift network). Returns the mask; exactly
-     * 4 * popcount(mask) payload bytes are live at @p dst.
+     * ZVC compaction over a whole span: for each consecutive group of
+     * kZvcGroupWords words at @p src (the last group may be short),
+     * form the non-zero mask and write it to @p dst as 4 bytes, followed
+     * by the group's non-zero words in order (the software mirror of
+     * the hardware prefix-sum shift network). Returns the payload bytes
+     * written: 4 per group plus 4 per non-zero word.
      *
-     * @p dst must have room for 4 * @p words bytes: backends may store
-     * full groups unconditionally and let the write pointer lag (the
-     * branchless/left-pack trick), so bytes beyond the live payload are
-     * scratch.
+     * @p dst must have room for 4 * ceil(@p words / 32) + 4 * @p words
+     * bytes (ZvcCompressor::compressedBound): backends may store whole
+     * sub-blocks unconditionally and let the write pointer lag (the
+     * branchless left-pack trick), so bytes beyond the returned length
+     * are scratch.
      */
-    uint32_t (*zvcCompactGroup)(const uint8_t *src, uint32_t words,
-                                uint8_t *dst);
+    size_t (*zvcCompactWords)(const uint8_t *src, uint64_t words,
+                              uint8_t *dst);
 
     /**
-     * ZVC expand op — the inverse of zvcCompactGroup: scatter the
-     * left-packed non-zero words at @p src back to their mask positions,
-     * writing exactly @p words (1..32) 32-bit words at @p dst (zeros
-     * where the mask bit is clear). Bits of @p mask at or above
-     * @p words must be clear. Returns the payload bytes consumed,
-     * always 4 * popcount(mask).
+     * ZVC expansion over a whole span, the inverse of zvcCompactWords:
+     * read the mask-plus-words groups from the @p len payload bytes at
+     * @p src and scatter each group's words back to their mask
+     * positions, writing @p words 32-bit words at @p dst (zeros where
+     * the mask bit is clear). Mask bits beyond a short final group are
+     * dropped. Returns the payload bytes consumed, or kZvcMalformed
+     * when a group's mask or words do not fit in @p len.
      *
-     * @p src is only readable for 4 * popcount(mask) bytes — backends
-     * must not over-read past the live payload (the compressed stream
-     * ends where the last window's payload ends), while @p dst always
-     * has the full 4 * @p words bytes of room.
+     * Every group is bounds-checked against @p len before its mask or
+     * words are read, so no backend reads past @p len (the compressed
+     * stream ends where the last window's payload ends). On success
+     * exactly 4 * @p words bytes are written; on kZvcMalformed a prefix
+     * of them may be.
      */
-    uint32_t (*zvcExpandGroup)(const uint8_t *src, uint32_t mask,
-                               uint32_t words, uint8_t *dst);
+    size_t (*zvcExpandWords)(const uint8_t *src, size_t len,
+                             uint64_t words, uint8_t *dst);
 
     /**
      * Length of the run of all-zero 32-bit words starting at @p words,
@@ -122,13 +143,16 @@ struct KernelOps {
      * @p seed (pass 0 to start; the pre/post inversion is internal, so
      * chaining crc32(crc32(0, a), b) equals crc32(0, a+b)). This is the
      * end-to-end integrity check framing every spilled shard: computed
-     * at compress time, verified on prefetch before expansion. The
-     * scalar backend is a slice-by-8 table walk; the AVX2 backend (whose
-     * op the AVX-512 table shares) rides the SSE4.2 crc32 instruction
-     * (every AVX2 part has it) in three interleaved chains over
-     * 3 x 8 KB and 3 x 256 B blocks, joined by constexpr "append N zero
-     * bytes" tables, with one chain for inputs under 768 B and the
-     * tail. All produce the identical standard CRC32C value.
+     * at compress time, verified on prefetch before expansion. All
+     * backends produce the identical standard CRC32C value:
+     *
+     * - scalar: a slice-by-8 table walk.
+     * - avx2: the SSE4.2 crc32 instruction in three interleaved chains
+     *   joined by constexpr "append N zero bytes" tables.
+     * - avx512: where CPUID reports VPCLMULQDQ, 512-bit carry-less-
+     *   multiply folds over four accumulators, which hand inputs too
+     *   short to fold, and their tails, to the three chains; without
+     *   it, the avx2 table's CRC.
      */
     uint32_t (*crc32)(uint32_t seed, const uint8_t *data, size_t n);
 };

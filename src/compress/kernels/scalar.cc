@@ -9,6 +9,7 @@
 
 #include "compress/kernels/kernels.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -26,14 +27,14 @@ loadWord(const uint8_t *p)
 }
 
 /**
- * Branchless mask-and-compact: every word is stored unconditionally and
- * the write pointer advances only for non-zero words (the software
- * analogue of the hardware's prefix-sum shift network, Figure 10a), with
- * a 32-byte OR fast-skip for all-zero 8-word sub-blocks — the common
- * case in sparse activation pages.
+ * Branchless mask-and-compact of one group: every word is stored
+ * unconditionally and the write pointer advances only for non-zero
+ * words (the software analogue of the hardware's prefix-sum shift
+ * network, Figure 10a), with a 32-byte OR fast-skip for all-zero 8-word
+ * sub-blocks — the common case in sparse activation pages.
  */
-uint32_t
-zvcCompactGroupScalar(const uint8_t *src, uint32_t words, uint8_t *dst)
+inline uint32_t
+compactGroup(const uint8_t *src, uint32_t words, uint8_t *dst)
 {
     uint32_t mask = 0;
     uint32_t w = 0;
@@ -62,19 +63,32 @@ zvcCompactGroupScalar(const uint8_t *src, uint32_t words, uint8_t *dst)
     return mask;
 }
 
+size_t
+zvcCompactWordsScalar(const uint8_t *src, uint64_t words, uint8_t *dst)
+{
+    uint8_t *const start = dst;
+    for (uint64_t w = 0; w < words; w += kZvcGroupWords) {
+        const auto group = static_cast<uint32_t>(
+            std::min<uint64_t>(kZvcGroupWords, words - w));
+        const uint32_t mask = compactGroup(src + w * 4, group, dst + 4);
+        std::memcpy(dst, &mask, sizeof(mask));
+        dst += 4 + 4 * static_cast<size_t>(std::popcount(mask));
+    }
+    return static_cast<size_t>(dst - start);
+}
+
 /**
- * Mask-driven scatter, the inverse of the compaction above: zero the
- * whole group once, then place the packed payload words with batched
- * memcpy runs (countr_zero to skip zero spans, countr_one to size each
- * contiguous non-zero run) — per-run bulk copies instead of per-word
- * branches, the fastest portable form we know.
+ * Mask-driven scatter of one group, the inverse of the compaction
+ * above: zero the whole group once, then place the packed payload words
+ * with batched memcpy runs (countr_zero to skip zero spans, countr_one
+ * to size each contiguous non-zero run) — per-run bulk copies instead
+ * of per-word branches, the fastest portable form we know.
  */
-uint32_t
-zvcExpandGroupScalar(const uint8_t *src, uint32_t mask, uint32_t words,
-                     uint8_t *dst)
+inline void
+expandGroup(const uint8_t *src, uint32_t mask, uint32_t words,
+            uint8_t *dst)
 {
     std::memset(dst, 0, static_cast<size_t>(words) * 4);
-    size_t consumed = 0;
     uint32_t bits = mask;
     uint32_t index = 0;
     while (bits) {
@@ -82,13 +96,34 @@ zvcExpandGroupScalar(const uint8_t *src, uint32_t mask, uint32_t words,
         bits >>= skip;
         index += static_cast<uint32_t>(skip);
         const int run = std::countr_one(bits);
-        std::memcpy(dst + index * 4, src + consumed,
-                    static_cast<size_t>(run) * 4);
-        consumed += static_cast<size_t>(run) * 4;
+        std::memcpy(dst + index * 4, src, static_cast<size_t>(run) * 4);
+        src += static_cast<size_t>(run) * 4;
         index += static_cast<uint32_t>(run);
         bits = run < 32 ? bits >> run : 0;
     }
-    return static_cast<uint32_t>(consumed);
+}
+
+size_t
+zvcExpandWordsScalar(const uint8_t *src, size_t len, uint64_t words,
+                     uint8_t *dst)
+{
+    size_t cursor = 0;
+    for (uint64_t w = 0; w < words; w += kZvcGroupWords) {
+        const auto group = static_cast<uint32_t>(
+            std::min<uint64_t>(kZvcGroupWords, words - w));
+        if (len - cursor < 4)
+            return kZvcMalformed;
+        uint32_t mask = loadWord(src + cursor);
+        cursor += 4;
+        if (group < kZvcGroupWords)
+            mask &= (1u << group) - 1u;
+        const size_t live = 4 * static_cast<size_t>(std::popcount(mask));
+        if (len - cursor < live)
+            return kZvcMalformed;
+        expandGroup(src + cursor, mask, group, dst + w * 4);
+        cursor += live;
+    }
+    return cursor;
 }
 
 /** 32-byte OR probes through zero pages, word-at-a-time at the edge. */
@@ -229,8 +264,8 @@ scalarKernels()
 {
     static constexpr KernelOps ops = {
         "scalar",
-        zvcCompactGroupScalar,
-        zvcExpandGroupScalar,
+        zvcCompactWordsScalar,
+        zvcExpandWordsScalar,
         zeroRunWordsScalar,
         literalRunWordsScalar,
         matchLengthScalar,

@@ -295,6 +295,22 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
         });
 }
 
+namespace {
+
+/**
+ * A caller-supplied buffer that frames windows but no window size: the
+ * window-count check would divide by zero, so it is rejected first.
+ */
+Status
+zeroWindowStatus(uint64_t windows)
+{
+    return Status::corrupt(
+        "compressed buffer frames %llu windows with a zero window size",
+        static_cast<unsigned long long>(windows));
+}
+
+} // namespace
+
 Status
 ParallelCompressor::decompressShards(
     const CompressedBuffer &buffer, uint64_t windows_per_shard,
@@ -314,7 +330,8 @@ ParallelCompressor::decompressShards(
     // wire with the payload), so inconsistencies report rather than
     // panic.
     const uint64_t window_bytes = buffer.window_bytes;
-    CDMA_ASSERT(window_bytes > 0, "compressed buffer lacks a window size");
+    if (window_bytes == 0)
+        return zeroWindowStatus(windows);
     if (windows != ceilDiv(buffer.original_bytes, window_bytes)) {
         return Status::corrupt(
             "window count %llu inconsistent with original size %llu",
@@ -401,6 +418,8 @@ ParallelCompressor::decompress(const CompressedBuffer &buffer) const
         return codec_->decompress(buffer);
     }
 
+    if (buffer.window_bytes == 0)
+        return zeroWindowStatus(windows);
     if (windows != ceilDiv(buffer.original_bytes, buffer.window_bytes)) {
         return Status::corrupt(
             "window count %llu inconsistent with original size %llu",

@@ -1,5 +1,6 @@
 #include "compress/zvc.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bits.hh"
@@ -17,7 +18,7 @@ ZvcCompressor::ZvcCompressor(uint64_t window_bytes,
 uint64_t
 ZvcCompressor::predictedBytes(uint64_t total_words, uint64_t nonzero_words)
 {
-    const uint64_t masks = ceilDiv(total_words, kMaskWords);
+    const uint64_t masks = ceilDiv(total_words, kZvcGroupWords);
     return masks * sizeof(uint32_t) + nonzero_words * kWordBytes;
 }
 
@@ -40,31 +41,17 @@ ZvcCompressor::compressWindowInto(std::span<const uint8_t> window,
 
     // Single pass, sized to the worst case up front and trimmed once at
     // the end; out is a ByteVec, so the resize-to-bound leaves the staging
-    // bytes uninitialized instead of zero-filling a region the loop below
-    // overwrites. The mask-and-compact of each 32-word group is the
-    // kernel backend's zvcCompactGroup op — the software mirror of the
-    // hardware's prefix-sum shift network (Figure 10a) — which may store
-    // whole sub-blocks unconditionally and let the write pointer lag, so
-    // the worst-case sizing below is also its scratch headroom.
-    const KernelOps &kernel = kernels();
+    // bytes uninitialized instead of zero-filling a region the kernel
+    // overwrites. The mask-and-compact of every 32-word group is one
+    // zvcCompactWords call over the whole window — the software mirror
+    // of the hardware's prefix-sum shift network (Figure 10a) — which
+    // may store whole sub-blocks unconditionally and let the write
+    // pointer lag, so the worst-case sizing is also its scratch headroom.
     const size_t base = out.size();
     out.resize(base + compressedBound(window.size()));
     uint8_t *out_base = out.data() + base;
-    uint8_t *dst = out_base;
-
-    uint64_t word = 0;
-    while (word < full_words) {
-        const uint32_t group = static_cast<uint32_t>(
-            std::min<uint64_t>(kMaskWords, full_words - word));
-        uint8_t *mask_pos = dst;
-        dst += sizeof(uint32_t);
-        const uint32_t mask =
-            kernel.zvcCompactGroup(src + word * kWordBytes, group, dst);
-        dst += static_cast<uint32_t>(kWordBytes) *
-            static_cast<uint32_t>(popcount32(mask));
-        std::memcpy(mask_pos, &mask, sizeof(mask));
-        word += group;
-    }
+    uint8_t *dst =
+        out_base + kernels().zvcCompactWords(src, full_words, out_base);
 
     // Sub-word tail (only possible when the window is not a multiple of 4
     // bytes, e.g. the last window of an oddly sized buffer): stored raw.
@@ -77,26 +64,21 @@ ZvcCompressor::compressWindowInto(std::span<const uint8_t> window,
     out.resize(base + static_cast<size_t>(dst - out_base));
 }
 
-Status
-ZvcCompressor::decompressWindowInto(std::span<const uint8_t> payload,
-                                    uint64_t original_bytes,
-                                    uint8_t *out) const
-{
-    const uint64_t full_words = original_bytes / kWordBytes;
-    const uint64_t tail_bytes = original_bytes % kWordBytes;
+namespace {
 
-    // The mask-driven scatter of each group is the kernel backend's
-    // zvcExpandGroup op — the inverse of the compaction above and the
-    // software mirror of the DPE's scatter network. The bounds check
-    // runs before the kernel call, so a backend never sees a payload
-    // shorter than the mask's popcount promises; a truncated or
-    // corrupted wire payload surfaces as a Status, never a panic.
-    const KernelOps &kernel = kernels();
+/**
+ * The Status for a payload zvcExpandWords rejected: walk the masks the
+ * way the kernel did, with no output writes, and report the first
+ * group whose mask or words do not fit.
+ */
+Status
+malformedPayloadStatus(std::span<const uint8_t> payload,
+                       uint64_t full_words)
+{
     size_t cursor = 0;
-    uint64_t word = 0;
-    while (word < full_words) {
+    for (uint64_t word = 0; word < full_words; word += kZvcGroupWords) {
         const uint64_t group =
-            std::min<uint64_t>(kMaskWords, full_words - word);
+            std::min<uint64_t>(kZvcGroupWords, full_words - word);
         if (cursor + sizeof(uint32_t) > payload.size()) {
             return Status::truncated(
                 "ZV: payload truncated before mask at byte %zu "
@@ -105,25 +87,42 @@ ZvcCompressor::decompressWindowInto(std::span<const uint8_t> payload,
         uint32_t mask;
         std::memcpy(&mask, payload.data() + cursor, sizeof(mask));
         cursor += sizeof(mask);
-        // Bits beyond a short final group would index past the output
-        // region; drop them (the trailing-bytes check below still flags
-        // the corrupt payload).
-        if (group < kMaskWords)
+        // Bits beyond a short final group are dropped, as the kernels
+        // drop them (the trailing-bytes check flags such a payload).
+        if (group < kZvcGroupWords)
             mask &= (1u << group) - 1u;
-
         const uint64_t present = static_cast<uint64_t>(popcount32(mask));
-        if (cursor + present * kWordBytes > payload.size()) {
+        if (cursor + present * ZvcCompressor::kWordBytes > payload.size()) {
             return Status::truncated(
                 "ZV: payload truncated in non-zero data at byte %zu "
                 "(mask promises %llu words, payload %zu bytes)", cursor,
                 static_cast<unsigned long long>(present), payload.size());
         }
-
-        cursor += kernel.zvcExpandGroup(payload.data() + cursor, mask,
-                                        static_cast<uint32_t>(group),
-                                        out + word * kWordBytes);
-        word += group;
+        cursor += present * ZvcCompressor::kWordBytes;
     }
+    panic("ZV: the kernel rejected a %zu-byte payload whose masks fit",
+          payload.size());
+}
+
+} // namespace
+
+Status
+ZvcCompressor::decompressWindowInto(std::span<const uint8_t> payload,
+                                    uint64_t original_bytes,
+                                    uint8_t *out) const
+{
+    const uint64_t full_words = original_bytes / kWordBytes;
+    const uint64_t tail_bytes = original_bytes % kWordBytes;
+
+    // One zvcExpandWords call scatters every group of the window — the
+    // inverse of the compaction above and the software mirror of the
+    // DPE's scatter network. The kernel bounds-checks each group before
+    // it reads it, so a truncated or corrupted wire payload surfaces as
+    // a Status, never a panic or an over-read.
+    size_t cursor = kernels().zvcExpandWords(payload.data(), payload.size(),
+                                             full_words, out);
+    if (cursor == kZvcMalformed)
+        return malformedPayloadStatus(payload, full_words);
 
     if (tail_bytes) {
         if (cursor + tail_bytes > payload.size()) {

@@ -21,8 +21,6 @@ namespace cdma {
 class ZvcCompressor : public Compressor
 {
   public:
-    /** Words covered by one ZVC mask. */
-    static constexpr int kMaskWords = 32;
     /** Bytes per activation word (fp32). */
     static constexpr int kWordBytes = 4;
 
@@ -41,12 +39,16 @@ class ZvcCompressor : public Compressor
                                    uint64_t nonzero_words);
 
     /**
-     * Single-pass streaming codec: each 32-word group is masked and
-     * left-packed by the kernel backend's zvcCompactGroup op (branchless
-     * compaction on the scalar backend, vpcmpeqd + shuffle-table vpermd
-     * on AVX2 — both software analogues of the hardware's prefix-sum
-     * shift network). Decompression popcounts each mask to bounds-check
-     * and scatter batched memcpy/memset runs.
+     * Single-pass streaming codec: each window is one kernel call in
+     * each direction. zvcCompactWords masks and left-packs every 32-word
+     * group of the window (branchless compaction on the scalar backend,
+     * vpcmpeqd + shuffle-table vpermd on AVX2, vptestmd + vpcompressd on
+     * AVX-512 — software analogues of the hardware's prefix-sum shift
+     * network); zvcExpandWords bounds-checks each group's mask and words
+     * against the payload before it scatters them. When the expand
+     * kernel rejects a payload, the codec walks the masks itself to
+     * report which group does not fit. The raw sub-word tail and the
+     * trailing-byte check stay in the codec.
      */
     void compressWindowInto(std::span<const uint8_t> window,
                             ByteVec &out) const override;

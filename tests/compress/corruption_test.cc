@@ -16,9 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cdma/engine.hh"
+#include "cdma/transfer_engine.hh"
 #include "common/rng.hh"
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
+#include "compress/parallel.hh"
 
 namespace cdma {
 namespace {
@@ -182,6 +185,49 @@ TEST_P(CorruptionSuite, ZeroOriginalBytesRejectsNonEmptyPayload)
         const uint8_t junk[3] = {1, 2, 3};
         EXPECT_NE(decodeWindow(*codec, junk, 0), StatusCode::Ok)
             << algorithmName(algorithm) << " on " << backend->name;
+    }
+}
+
+TEST_P(CorruptionSuite, ZeroWindowSizeIsCorruptOnEveryPath)
+{
+    // A caller-supplied buffer that frames two windows but no window
+    // size. Every decoder must refuse it before dividing by the window
+    // size or writing output: the serial codec, the parallel decoder at
+    // one and two lanes (both entry points) and the engine's prefetch.
+    const Algorithm algorithm = GetParam();
+    CompressedBuffer buffer;
+    buffer.original_bytes = 8192;
+    buffer.window_bytes = 0;
+    buffer.window_sizes = {0, 0};
+    buffer.codec = codecFor(algorithm);
+
+    EXPECT_EQ(makeCompressor(algorithm)->decompress(buffer).status().code(),
+              StatusCode::Corrupt)
+        << algorithmName(algorithm) << " serial";
+    for (const unsigned lanes : {1u, 2u}) {
+        const ParallelCompressor parallel(algorithm, 4096, lanes);
+        EXPECT_EQ(parallel.decompress(buffer).status().code(),
+                  StatusCode::Corrupt)
+            << algorithmName(algorithm) << " lanes=" << lanes;
+        ByteVec out(buffer.original_bytes);
+        bool notified = false;
+        const Status status = parallel.decompressShards(
+            buffer, 1, out.data(),
+            [&](const ParallelCompressor::DecompressedShard &) {
+                notified = true;
+            });
+        EXPECT_EQ(status.code(), StatusCode::Corrupt)
+            << algorithmName(algorithm) << " shards lanes=" << lanes;
+        EXPECT_FALSE(notified);
+
+        CdmaConfig config;
+        config.compression.algorithm = algorithm;
+        config.compression.lanes = lanes;
+        const CdmaEngine engine(config);
+        const TransferEngine transfers(engine);
+        EXPECT_EQ(transfers.prefetch(buffer).status().code(),
+                  StatusCode::Corrupt)
+            << algorithmName(algorithm) << " prefetch lanes=" << lanes;
     }
 }
 

@@ -3,17 +3,22 @@
  * Differential tests for the prefetch-side (decompression) kernel ops
  * and their codec routing, mirroring tests/compress/kernels_test.cc for
  * the compression direction: op-level equivalence of every supported
- * backend against the scalar reference (zvcExpandGroup mask scatter,
- * zeroFillBytes run reconstruction), byte-identity of decompressed
+ * backend against the scalar reference (zvcExpandWords mask scatter,
+ * zeroFillBytes run reconstruction), guard-page bounds of both ZVC span
+ * ops, byte-identity of decompressed
  * output across backends for all three codecs — densities, odd sizes,
  * sub-word tails, 1/2/8 lanes — and the in-order shard-streaming
  * decompression drain.
  */
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +27,7 @@
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
 #include "compress/parallel.hh"
+#include "compress/zvc.hh"
 
 namespace cdma {
 namespace {
@@ -60,39 +66,53 @@ class DecompressKernelOpEquivalence : public ::testing::Test
     }
 };
 
-TEST_F(DecompressKernelOpEquivalence, ZvcExpandGroupInvertsCompact)
+/**
+ * Word counts for the span ops: every single-group length (1..32), then
+ * lengths around two and three group edges, and a 4 KB window +- 1.
+ */
+std::vector<uint64_t>
+spanWordCounts()
+{
+    std::vector<uint64_t> counts;
+    for (uint64_t words = 1; words <= 32; ++words)
+        counts.push_back(words);
+    for (const uint64_t words : {33, 63, 64, 65, 1023, 1024, 1025})
+        counts.push_back(words);
+    return counts;
+}
+
+TEST_F(DecompressKernelOpEquivalence, ZvcExpandWordsInvertsCompact)
 {
     // Compact with the scalar reference, then expand with every
     // backend: the output must reproduce the original words exactly and
-    // consume exactly 4 * popcount(mask) payload bytes.
+    // consume exactly the payload compaction produced.
     const KernelOps &ref = scalarKernels();
     for (const KernelOps *ops : supportedKernels()) {
         for (const double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-            for (const uint32_t words :
-                 {1u, 2u, 7u, 8u, 9u, 15u, 16u, 24u, 31u, 32u}) {
+            for (const uint64_t words : spanWordCounts()) {
                 const auto input =
                     makeWords(density, words * 4, 301 + words);
-                std::vector<uint8_t> packed(words * 4 + 32, 0xAA);
-                const uint32_t mask = ref.zvcCompactGroup(
+                std::vector<uint8_t> packed(
+                    ZvcCompressor::predictedBytes(words, words));
+                const size_t len = ref.zvcCompactWords(
                     input.data(), words, packed.data());
-                const uint32_t live =
-                    4u * static_cast<uint32_t>(std::popcount(mask));
                 // The payload the expand op may read is exactly the
                 // live bytes: hand it a right-sized copy so any
-                // over-read lands outside the allocation (ASan job).
-                std::vector<uint8_t> payload(
-                    packed.begin(), packed.begin() + live);
+                // over-read lands outside the allocation (ASan job; the
+                // guard-page test below checks it on every build).
+                const std::vector<uint8_t> payload(
+                    packed.begin(), packed.begin() + len);
                 std::vector<uint8_t> out(words * 4 + 32, 0xEE);
-                const uint32_t consumed = ops->zvcExpandGroup(
-                    payload.data(), mask, words, out.data());
-                EXPECT_EQ(consumed, live)
+                const size_t consumed = ops->zvcExpandWords(
+                    payload.data(), payload.size(), words, out.data());
+                EXPECT_EQ(consumed, len)
                     << ops->name << " words=" << words
                     << " density=" << density;
                 ASSERT_EQ(0, std::memcmp(out.data(), input.data(),
                                          words * 4))
                     << ops->name << " words=" << words
                     << " density=" << density;
-                // No write past the group.
+                // No write past the span.
                 for (size_t i = words * 4; i < out.size(); ++i) {
                     ASSERT_EQ(out[i], 0xEE)
                         << ops->name << " words=" << words << " i=" << i;
@@ -102,47 +122,141 @@ TEST_F(DecompressKernelOpEquivalence, ZvcExpandGroupInvertsCompact)
     }
 }
 
-TEST_F(DecompressKernelOpEquivalence, ZvcExpandGroupSparsePatterns)
+TEST_F(DecompressKernelOpEquivalence, ZvcExpandWordsSparsePatterns)
 {
-    // Directed masks: empty, full, single bits at the edges, and
-    // random patterns over every sub-block boundary.
+    // Directed masks per group — empty, full, single bits at the
+    // edges, random — over spans of one to four groups. A short final
+    // group's mask keeps junk bits beyond its words, which every backend
+    // must drop exactly as the scalar reference does.
     Rng rng(47);
     for (const KernelOps *ops : supportedKernels()) {
         for (int trial = 0; trial < 300; ++trial) {
-            const uint32_t words = 1 + rng.uniformInt(32);
-            uint32_t mask;
-            switch (trial % 5) {
-              case 0: mask = 0; break;
-              case 1:
-                mask = words == 32 ? 0xFFFFFFFFu : (1u << words) - 1;
-                break;
-              case 2: mask = 1u; break;
-              case 3: mask = 1u << (words - 1); break;
-              default:
-                mask = static_cast<uint32_t>(rng.uniformInt(1u << 16)) |
-                    (static_cast<uint32_t>(rng.uniformInt(1u << 16))
-                     << 16);
-                break;
+            const uint64_t words = 1 + rng.uniformInt(128);
+            std::vector<uint8_t> payload;
+            for (uint64_t w = 0; w < words; w += 32) {
+                const auto group =
+                    static_cast<uint32_t>(std::min<uint64_t>(32, words - w));
+                uint32_t mask;
+                switch ((static_cast<uint64_t>(trial) + w / 32) % 5) {
+                  case 0: mask = 0; break;
+                  case 1: mask = 0xFFFFFFFFu; break;
+                  case 2: mask = 1u; break;
+                  case 3: mask = 1u << (group - 1); break;
+                  default:
+                    mask = static_cast<uint32_t>(rng.uniformInt(1u << 16)) |
+                        (static_cast<uint32_t>(rng.uniformInt(1u << 16))
+                         << 16);
+                    break;
+                }
+                const uint32_t live_mask =
+                    group == 32 ? mask : mask & ((1u << group) - 1u);
+                const size_t at = payload.size();
+                payload.resize(at + 4);
+                std::memcpy(payload.data() + at, &mask, 4);
+                for (int i = 0; i < 4 * std::popcount(live_mask); ++i) {
+                    payload.push_back(
+                        static_cast<uint8_t>(1 + rng.uniformInt(255)));
+                }
             }
-            if (words < 32)
-                mask &= (1u << words) - 1;
-            const uint32_t present =
-                static_cast<uint32_t>(std::popcount(mask));
-            std::vector<uint8_t> payload(present * 4);
-            for (auto &byte : payload)
-                byte = static_cast<uint8_t>(1 + rng.uniformInt(255));
 
             std::vector<uint8_t> expect(words * 4 + 8, 0xCC);
             std::vector<uint8_t> got(words * 4 + 8, 0xCC);
-            const uint32_t consumed_ref = scalarKernels().zvcExpandGroup(
-                payload.data(), mask, words, expect.data());
-            const uint32_t consumed = ops->zvcExpandGroup(
-                payload.data(), mask, words, got.data());
+            const size_t consumed_ref = scalarKernels().zvcExpandWords(
+                payload.data(), payload.size(), words, expect.data());
+            const size_t consumed = ops->zvcExpandWords(
+                payload.data(), payload.size(), words, got.data());
+            EXPECT_EQ(consumed_ref, payload.size()) << "trial " << trial;
             EXPECT_EQ(consumed, consumed_ref)
                 << ops->name << " trial " << trial;
             ASSERT_EQ(expect, got) << ops->name << " trial " << trial
-                                   << " mask=" << mask
                                    << " words=" << words;
+        }
+    }
+}
+
+/**
+ * Anonymous memory whose usable bytes end just before a PROT_NONE
+ * page, so a read or write one byte past the end faults on every build
+ * (ASan's view of masked vector loads depends on the compiler; the
+ * page tests the contract directly).
+ */
+class GuardedRegion
+{
+  public:
+    explicit GuardedRegion(size_t bytes)
+        : page_(static_cast<size_t>(sysconf(_SC_PAGESIZE)))
+    {
+        const size_t data_bytes = (bytes + page_ - 1) / page_ * page_;
+        size_ = data_bytes + page_;
+        void *base = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED)
+            throw std::runtime_error("mmap failed");
+        base_ = static_cast<uint8_t *>(base);
+        end_ = base_ + data_bytes;
+        if (mprotect(end_, page_, PROT_NONE) != 0) {
+            munmap(base_, size_);
+            throw std::runtime_error("mprotect failed");
+        }
+    }
+    ~GuardedRegion() { munmap(base_, size_); }
+    GuardedRegion(const GuardedRegion &) = delete;
+    GuardedRegion &operator=(const GuardedRegion &) = delete;
+
+    /** The last @p bytes usable bytes: the guard page follows them. */
+    uint8_t *tail(size_t bytes) const { return end_ - bytes; }
+
+  private:
+    size_t page_;
+    size_t size_ = 0;
+    uint8_t *base_ = nullptr;
+    uint8_t *end_ = nullptr;
+};
+
+TEST(ZvcGuardPage, SpanOpsStayInsideTheirBytes)
+{
+    // Compact reads an input and writes into the documented room that
+    // both end at a guard page. Expand then reads every truncation of
+    // the payload placed so its last byte sits just before a guard
+    // page: each must return kZvcMalformed without faulting, and the
+    // complete payload must decode into an output that also ends at a
+    // guard page.
+    for (const KernelOps *ops : supportedKernels()) {
+        for (const double density : {0.1, 0.5, 1.0}) {
+            for (const uint64_t words :
+                 {1u, 15u, 16u, 17u, 31u, 32u, 33u, 100u, 1024u}) {
+                const size_t raw = words * 4;
+                const auto input = makeWords(density, raw, 501 + words);
+                // The documented room: a mask per group plus every word.
+                const size_t bound =
+                    ZvcCompressor::predictedBytes(words, words);
+                GuardedRegion source(raw), room(bound);
+                std::memcpy(source.tail(raw), input.data(), raw);
+                const size_t len = ops->zvcCompactWords(
+                    source.tail(raw), words, room.tail(bound));
+                ASSERT_LE(len, bound) << ops->name;
+                const std::vector<uint8_t> payload(
+                    room.tail(bound), room.tail(bound) + len);
+
+                GuardedRegion wire(len), out(raw);
+                for (size_t cut = 0; cut < len; ++cut) {
+                    std::memcpy(wire.tail(cut), payload.data(), cut);
+                    ASSERT_EQ(ops->zvcExpandWords(wire.tail(cut), cut,
+                                                  words, out.tail(raw)),
+                              kZvcMalformed)
+                        << ops->name << " words=" << words
+                        << " density=" << density << " cut=" << cut;
+                }
+                std::memcpy(wire.tail(len), payload.data(), len);
+                ASSERT_EQ(ops->zvcExpandWords(wire.tail(len), len, words,
+                                              out.tail(raw)),
+                          len)
+                    << ops->name << " words=" << words
+                    << " density=" << density;
+                ASSERT_EQ(0, std::memcmp(out.tail(raw), input.data(), raw))
+                    << ops->name << " words=" << words
+                    << " density=" << density;
+            }
         }
     }
 }

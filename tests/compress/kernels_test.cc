@@ -23,6 +23,7 @@
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
 #include "compress/parallel.hh"
+#include "compress/zvc.hh"
 
 namespace cdma {
 namespace {
@@ -61,8 +62,8 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndNamed)
     if (const KernelOps *avx512 = avx512Kernels()) {
         EXPECT_STREQ(avx512->name, "avx512");
         EXPECT_EQ(kernelsByName("avx512"), avx512);
-        // AVX-512 implies AVX2 (its CRC32C rides the AVX2 table), and
-        // the sweep order is narrowest to widest.
+        // AVX-512 implies AVX2 (without VPCLMULQDQ its CRC32C is the
+        // AVX2 table's), and the sweep order is narrowest to widest.
         EXPECT_NE(avx2Kernels(), nullptr);
         EXPECT_EQ(backends.back(), avx512);
     } else if (const KernelOps *avx2 = avx2Kernels()) {
@@ -137,10 +138,12 @@ TEST(KernelDispatch, ActiveBackendHonoursEnvOverride)
     const auto backends = supportedKernels();
     EXPECT_NE(std::find(backends.begin(), backends.end(), &active),
               backends.end());
-    if (const char *forced = std::getenv("CDMA_KERNEL_BACKEND")) {
+    const char *forced = std::getenv("CDMA_KERNEL_BACKEND");
+    if (forced != nullptr && *forced != '\0') {
         EXPECT_STREQ(active.name, forced);
     } else {
-        // Unforced: the widest supported backend wins.
+        // Unforced (unset or empty, as the CI cpuid legs set it): the
+        // widest supported backend wins.
         EXPECT_EQ(&active, backends.back());
     }
 }
@@ -160,31 +163,49 @@ class KernelOpEquivalence : public ::testing::Test
     }
 };
 
-TEST_F(KernelOpEquivalence, ZvcCompactGroup)
+/**
+ * Word counts for the span ops: every single-group length (1..32), then
+ * lengths around two and three group edges, and a 4 KB window +- 1.
+ */
+std::vector<uint64_t>
+spanWordCounts()
+{
+    std::vector<uint64_t> counts;
+    for (uint64_t words = 1; words <= 32; ++words)
+        counts.push_back(words);
+    for (const uint64_t words : {33, 63, 64, 65, 1023, 1024, 1025})
+        counts.push_back(words);
+    return counts;
+}
+
+TEST_F(KernelOpEquivalence, ZvcCompactWords)
 {
     const KernelOps &ref = scalarKernels();
     for (const KernelOps *ops : others()) {
         for (const double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-            for (const uint32_t words :
-                 {1u, 2u, 7u, 8u, 9u, 15u, 16u, 24u, 31u, 32u}) {
+            for (const uint64_t words : spanWordCounts()) {
                 const auto input =
                     makeWords(density, words * 4, 91 + words);
-                // Headroom: backends may store whole sub-blocks
-                // unconditionally.
-                std::vector<uint8_t> a(words * 4 + 32, 0xAA);
-                std::vector<uint8_t> b(words * 4 + 32, 0xAA);
-                const uint32_t mask_a = ref.zvcCompactGroup(
-                    input.data(), words, a.data());
-                const uint32_t mask_b = ops->zvcCompactGroup(
-                    input.data(), words, b.data());
-                ASSERT_EQ(mask_a, mask_b)
+                // Exactly the documented room (a mask per group plus
+                // every word), then a sentinel tail no backend may touch.
+                const size_t bound =
+                    ZvcCompressor::predictedBytes(words, words);
+                std::vector<uint8_t> a(bound + 64, 0xAA);
+                std::vector<uint8_t> b(bound + 64, 0xAA);
+                const size_t len_a =
+                    ref.zvcCompactWords(input.data(), words, a.data());
+                const size_t len_b =
+                    ops->zvcCompactWords(input.data(), words, b.data());
+                ASSERT_EQ(len_a, len_b)
                     << ops->name << " words=" << words
                     << " density=" << density;
-                const size_t live = 4u * static_cast<size_t>(
-                    std::popcount(mask_a));
-                ASSERT_EQ(0, std::memcmp(a.data(), b.data(), live))
+                ASSERT_EQ(0, std::memcmp(a.data(), b.data(), len_a))
                     << ops->name << " words=" << words
                     << " density=" << density;
+                for (size_t i = bound; i < b.size(); ++i) {
+                    ASSERT_EQ(b[i], 0xAA)
+                        << ops->name << " words=" << words << " i=" << i;
+                }
             }
         }
     }
@@ -265,7 +286,8 @@ TEST_F(KernelOpEquivalence, CopyBytes)
 TEST_F(KernelOpEquivalence, Crc32)
 {
     // CRC-32C standard vector: crc32c("123456789") == 0xE3069283. Every
-    // backend (slice-by-8 table walk, SSE4.2 instruction) must produce
+    // backend (slice-by-8 table walk, SSE4.2 instruction, carry-less-
+    // multiply folds) must produce
     // the standard value — the integrity framing is only end-to-end if
     // the compress-side and verify-side backends are interchangeable.
     const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
@@ -275,18 +297,22 @@ TEST_F(KernelOpEquivalence, Crc32)
         EXPECT_EQ(ops->crc32(0, check, 0), 0u) << ops->name;
     }
 
-    // Differential sweep across sizes/alignments, plus the chaining
-    // property crc(crc(0, a), b) == crc(0, a+b) at every split. The
-    // hardware kernel runs three streams over 3 x 8 KB blocks, then
-    // 3 x 256 B blocks, then one chain, so the sizes straddle each block
-    // boundary: 767/768/769, 24575/24576/24577, three long blocks + one
-    // short block + a 5-byte tail (74501), and 1 MiB + 5.
+    // Differential sweep across sizes/alignments and seeds, plus the
+    // chaining property crc(crc(0, a), b) == crc(0, a+b) at a random
+    // split. The sizes straddle every block edge of the hardware paths:
+    // - three crc32 streams over 3 x 8 KB blocks, then 3 x 256 B blocks,
+    //   then one chain: 767/768/769, 24575/24576/24577, three long
+    //   blocks + one short block + a 5-byte tail (74501), 1 MiB + 5;
+    // - the 512-bit fold: under one 256-byte stride the crc32 walk
+    //   takes the input whole (255/256/257), then 64-byte folds and a
+    //   0..63-byte tail (511/512/513), and a 36 000-byte shard payload.
     const KernelOps &ref = scalarKernels();
     Rng rng(37);
     constexpr size_t kLongBlock = 3 * 8192;
     constexpr size_t kShortBlock = 3 * 256;
     const std::vector<size_t> sizes = {
-        1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 1024, 4096, 65537,
+        1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 511, 512,
+        513, 1024, 4096, 36000, 65537,
         kShortBlock - 1, kShortBlock, kShortBlock + 1,
         kLongBlock - 1, kLongBlock, kLongBlock + 1,
         3 * kLongBlock + kShortBlock + 5, (1u << 20) + 5};
@@ -296,6 +322,12 @@ TEST_F(KernelOpEquivalence, Crc32)
             const uint32_t expect = ref.crc32(0, data.data(), n);
             EXPECT_EQ(ops->crc32(0, data.data(), n), expect)
                 << ops->name << " n=" << n;
+            // Non-zero seeds: the register joins the first block.
+            for (const uint32_t seed : {0xFFFFFFFFu, 0x9E3779B9u}) {
+                EXPECT_EQ(ops->crc32(seed, data.data(), n),
+                          ref.crc32(seed, data.data(), n))
+                    << ops->name << " n=" << n << " seed=" << seed;
+            }
             // Unaligned starts (the payload cursor is byte-granular).
             for (size_t offset = 1; offset <= 7 && offset < n; ++offset) {
                 EXPECT_EQ(ops->crc32(0, data.data() + offset, n - offset),
@@ -308,15 +340,18 @@ TEST_F(KernelOpEquivalence, Crc32)
                       expect)
                 << ops->name << " n=" << n << " split=" << split;
         }
-        // A chaining split inside a long block: both halves end and
-        // start mid-stream relative to the unsplit call.
+        // Chaining splits inside a long three-stream block and inside a
+        // fold stride: both halves end and start mid-block relative to
+        // the unsplit call.
         const size_t n = 3 * kLongBlock + kShortBlock + 5;
-        const size_t split = kLongBlock + 8192 + 1234;
         const auto data = makeWords(0.6, n, 1000 + n);
-        const uint32_t seed = ops->crc32(0, data.data(), split);
-        EXPECT_EQ(ops->crc32(seed, data.data() + split, n - split),
-                  ref.crc32(0, data.data(), n))
-            << ops->name << " n=" << n << " split=" << split;
+        for (const size_t split : {kLongBlock + 8192 + 1234,
+                                   size_t{256 + 100}}) {
+            const uint32_t seed = ops->crc32(0, data.data(), split);
+            EXPECT_EQ(ops->crc32(seed, data.data() + split, n - split),
+                      ref.crc32(0, data.data(), n))
+                << ops->name << " n=" << n << " split=" << split;
+        }
     }
 }
 
