@@ -11,8 +11,8 @@
  * CdmaConfig::staging_buffers over a representative transfer at a
  * ZV-class ratio and at a fetch-capped ratio, reporting the offload
  * (compress under wire-out) and prefetch (wire-in under decompress)
- * overlap side by side — all through the allocation-free closed-form
- * models, which the tests pin to the DES references.
+ * overlap side by side — all through the uncontended pricing
+ * recurrence, which the tests pin to the DES reference.
  */
 
 #include <cstdio>
@@ -34,9 +34,8 @@ struct SweepPoint {
 std::string
 shardLabel(uint64_t shard_bytes, const CdmaEngine &engine)
 {
-    const OffloadScheduler scheduler(engine);
-    const uint64_t actual =
-        scheduler.shardWindows() * engine.config().compression.window_bytes;
+    const uint64_t actual = TransferEngine(engine).shardWindows() *
+        engine.config().compression.window_bytes;
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%llu KB%s",
                   static_cast<unsigned long long>(actual / 1024),
@@ -71,12 +70,12 @@ main()
                 config.transfer.shard_bytes = shard_bytes;
                 config.transfer.staging_buffers = buffers;
                 const CdmaEngine engine(config);
-                const OffloadScheduler offload(engine);
-                const PrefetchScheduler prefetch(engine);
-                const OffloadTiming off =
-                    offload.modelFromRatio(raw_bytes, ratio);
-                const PrefetchTiming pre =
-                    prefetch.modelFromRatio(raw_bytes, ratio);
+                // Full duplex by default: each leg priced on its own.
+                const DuplexTiming legs =
+                    TransferEngine(engine).modelFromRatio(
+                        raw_bytes, ratio, raw_bytes, ratio);
+                const OffloadTiming &off = legs.offload;
+                const PrefetchTiming &pre = legs.prefetch;
                 table.addRow({
                     shardLabel(shard_bytes, engine),
                     Table::num(buffers, 0),

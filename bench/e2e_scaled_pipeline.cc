@@ -51,8 +51,7 @@ runFaultSmoke(const Network &net,
     config.transfer.timing_mode = TimingMode::Overlapped;
     config.transfer.fault_injector = &injector;
     const CdmaEngine engine(config);
-    const OffloadScheduler offloader(engine);
-    const PrefetchScheduler prefetcher(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
 
     TransferIntegrity integrity;
@@ -67,7 +66,7 @@ runFaultSmoke(const Network &net,
         for (const auto &record : records) {
             const Tensor4D &map = net.outputs()[record.output_index];
             const StatusOr<SpilledOffload> spilled =
-                offloader.offloadInto(map.rawBytes(), arena);
+                transfers.offloadInto(map.rawBytes(), arena);
             if (!spilled.ok()) {
                 std::printf("fault smoke: offload failed: %s\n",
                             spilled.status().message().c_str());
@@ -75,7 +74,7 @@ runFaultSmoke(const Network &net,
             }
             integrity.accumulate(spilled->integrity);
             const StatusOr<PrefetchResult> restored =
-                prefetcher.prefetch(arena, spilled->ticket);
+                transfers.prefetch(arena, spilled->ticket);
             if (!restored.ok()) {
                 std::printf("fault smoke: prefetch failed: %s\n",
                             restored.status().message().c_str());
@@ -165,8 +164,7 @@ main(int argc, char **argv)
     CdmaConfig spill_config;
     spill_config.transfer.timing_mode = TimingMode::Overlapped;
     const CdmaEngine spill_engine(spill_config);
-    const OffloadScheduler offloader(spill_engine);
-    const PrefetchScheduler prefetcher(spill_engine);
+    const TransferEngine transfers(spill_engine);
     SpillArena arena;
     std::vector<SpillTicket> tickets;
 
@@ -184,7 +182,7 @@ main(int argc, char **argv)
             double ratio;
             if (algorithm == Algorithm::Zvc) {
                 const SpilledOffload spilled =
-                    offloader.offloadInto(map.rawBytes(), arena).value();
+                    transfers.offloadInto(map.rawBytes(), arena).value();
                 tickets.push_back(spilled.ticket);
                 const uint64_t wire = arena.wireBytes(spilled.ticket);
                 ratio = wire > 0
@@ -209,7 +207,7 @@ main(int argc, char **argv)
     for (size_t i = tickets.size(); i-- > 0;) {
         const Tensor4D &map = net.outputs()[records[i].output_index];
         const PrefetchResult restored =
-            prefetcher.prefetch(arena, tickets[i]).value();
+            transfers.prefetch(arena, tickets[i]).value();
         const auto raw = map.rawBytes();
         restored_ok = restored_ok &&
             restored.data.size() == raw.size() &&

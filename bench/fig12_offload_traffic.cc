@@ -11,7 +11,7 @@
  * compression-free transfer model: traffic is timing-mode-invariant,
  * the seconds it takes are not. The prefetch leg (wire in, then
  * decompress — what backprop waits on) is reported symmetrically from
- * the mirrored PrefetchScheduler pipeline.
+ * the mirrored prefetch pipeline the same plans price.
  */
 
 #include <cstdio>

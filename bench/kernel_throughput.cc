@@ -199,13 +199,16 @@ BM_ZvcDecompressParallel(benchmark::State &state)
 }
 
 /**
- * The duplex-transfer DES at a representative shape: a 64 MiB offload
- * shard train racing an equal prefetch train on one link (ZV-class
- * 2.5x ratio, bandwidth-delay shards, double buffering). Reports the
- * host-side model throughput (modeled raw bytes per wall second — the
- * cost of pricing a transfer, which the step simulator pays per layer)
- * plus the modeled makespan and contention as counters; the JSON's
- * duplex_mode context records the engine-default link configuration.
+ * Pricing a duplex transfer at a representative shape: a 64 MiB
+ * offload shard train and an equal prefetch train on one link (ZV-class
+ * 2.5x ratio, bandwidth-delay shards, double buffering). On a full-duplex
+ * link the trains cannot meet, so each is priced on its own by the
+ * uncontended recurrence; on a half-duplex link they race in the DES.
+ * Reports the host-side model throughput (modeled raw bytes per wall
+ * second — the cost of pricing a transfer, which the step simulator
+ * pays per layer) plus the modeled makespan and contention as counters;
+ * the JSON's duplex_mode context records the engine-default link
+ * configuration.
  */
 void
 duplexModelBenchmark(benchmark::State &state, DuplexMode mode)

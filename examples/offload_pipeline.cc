@@ -426,7 +426,7 @@ main(int argc, char **argv)
     }
 
     // 6. What the registry accumulated across everything above: real
-    //    kernel wall-clock per backend, and the DES-modeled per-shard
+    //    kernel wall-clock per backend, and the modeled per-shard
     //    transfer latency. The same registry serializes to
     //    --metrics-out, so the printed and exported numbers can never
     //    disagree.

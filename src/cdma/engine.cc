@@ -9,6 +9,31 @@
 
 namespace cdma {
 
+namespace {
+
+/**
+ * Price @p train's round trip into @p plan: the offload leg and the
+ * prefetch leg each alone, then both racing on the engine's route (the
+ * map's offload against an equal-size prefetch). The train crosses
+ * once per direction, so its integrity counts twice.
+ */
+void
+priceRoundTrip(TransferPlan &plan, const TransferEngine &transfers,
+               std::span<const ShardTransfer> train)
+{
+    plan.offload = transfers.duplexTiming(train, {}).offload;
+    plan.prefetch = transfers.duplexTiming({}, train).prefetch;
+    plan.duplex = transfers.duplexTiming(train, train);
+    plan.seconds = plan.offload.overlapped_seconds;
+    plan.integrity = TransferEngine::trainIntegrity(train);
+    plan.integrity.accumulate(TransferEngine::trainIntegrity(train));
+    plan.integrity.retry_stall_seconds =
+        plan.offload.retry_stall_seconds +
+        plan.prefetch.retry_stall_seconds;
+}
+
+} // namespace
+
 std::string
 timingModeName(TimingMode mode)
 {
@@ -153,43 +178,27 @@ CdmaEngine::planTransfer(const std::string &label,
     if (config_.transfer.timing_mode == TimingMode::Overlapped) {
         // Double-buffered pipeline over the real per-shard compressed
         // sizes: compression latency is explicit and the COMP_BW cap
-        // emerges when the compression stage cannot feed the link.
+        // emerges when the compression stage cannot feed the link. The
+        // store-raw floor applies per window, so the shards' wire bytes
+        // sum to the stitched buffer's effectiveBytes().
         const TransferEngine transfers(*this);
-        const OffloadResult result = transfers.offload(data, codec);
-        plan.wire_bytes = result.buffer.effectiveBytes();
-        plan.ratio = result.buffer.effectiveRatio();
-        plan.offload = result.timing;
-        plan.seconds = result.timing.overlapped_seconds;
-        // The prefetch leg returns the same compressed shards, so its
-        // pipeline is modeled over the same measured sizes (wire in,
-        // then decompress) without re-running the codec. Routed
-        // through the duplex DES (prefetch direction only) so a
-        // configured fault process prices its backoff identically in
-        // both directions.
-        plan.prefetch = transfers.duplexTiming({}, result.shards).prefetch;
-        // Integrity expectation for the round trip: the offload train
-        // crosses once, the prefetch returns the same train.
-        plan.integrity = result.integrity;
-        plan.integrity.accumulate(
-            TransferEngine::trainIntegrity(result.shards));
-        plan.integrity.retry_stall_seconds =
-            plan.offload.retry_stall_seconds +
-            plan.prefetch.retry_stall_seconds;
-        // The duplex race of this map's offload against an equal-size
-        // prefetch on the configured link (same measured shard train in
-        // both directions). Under Full the directions are independent
-        // by construction, so the race is composed from the breakdowns
-        // already computed instead of re-running the DES.
-        if (config_.transfer.duplex_mode == DuplexMode::Full) {
-            plan.duplex.offload = plan.offload;
-            plan.duplex.prefetch = plan.prefetch;
-            plan.duplex.makespan_seconds =
-                std::max(plan.offload.overlapped_seconds,
-                         plan.prefetch.overlapped_seconds);
-        } else {
-            plan.duplex = transfers.duplexTiming(result.shards,
-                                                 result.shards);
-        }
+        std::vector<ShardTransfer> train;
+        compressorFor(codec).compressShards(
+            data, transfers.shardWindows(), [&](CompressedShard &&shard) {
+                train.push_back(
+                    {shard.raw_bytes,
+                     shard.effectiveBytes(config_.compression.window_bytes)});
+                plan.wire_bytes += train.back().wire_bytes;
+            });
+        plan.ratio = plan.wire_bytes > 0
+            ? static_cast<double>(plan.raw_bytes) /
+                static_cast<double>(plan.wire_bytes)
+            : 1.0;
+        // The prefetch leg returns the same compressed shards, so both
+        // legs price one train; a configured fault process is folded in
+        // as expected retries.
+        transfers.applyExpectedFaults(train);
+        priceRoundTrip(plan, transfers, train);
     } else {
         const CompressedBuffer compressed =
             compressorFor(codec).compress(data);
@@ -250,44 +259,12 @@ CdmaEngine::planFromRatio(const std::string &label, uint64_t raw_bytes,
     // apply: plain DMA occupancy regardless of timing mode.
     if (config_.transfer.timing_mode == TimingMode::Overlapped &&
         config_.compression.enabled) {
-        if (config_.transfer.fault_injector != nullptr) {
-            // The schedulers' closed forms model a perfect link; with
-            // a fault process configured, replay the expected shard
-            // train (attempts / re-sent bytes in expectation) through
-            // the duplex DES so retries and backoff are priced.
-            const TransferEngine transfers(*this);
-            const std::vector<ShardTransfer> train =
-                transfers.shardTrain(raw_bytes, plan.ratio);
-            plan.offload = transfers.duplexTiming(train, {}).offload;
-            plan.prefetch = transfers.duplexTiming({}, train).prefetch;
-            plan.seconds = plan.offload.overlapped_seconds;
-            // Round trip: the train crosses once per direction.
-            plan.integrity = TransferEngine::trainIntegrity(train);
-            plan.integrity.accumulate(
-                TransferEngine::trainIntegrity(train));
-            plan.integrity.retry_stall_seconds =
-                plan.offload.retry_stall_seconds +
-                plan.prefetch.retry_stall_seconds;
-        } else {
-            const OffloadScheduler scheduler(*this);
-            plan.offload =
-                scheduler.modelFromRatio(raw_bytes, plan.ratio);
-            plan.seconds = plan.offload.overlapped_seconds;
-            plan.prefetch = PrefetchScheduler(*this).modelFromRatio(
-                raw_bytes, plan.ratio);
-        }
-        // Same Full-duplex shortcut as planTransfer: independent
-        // directions need no contended replay.
-        if (config_.transfer.duplex_mode == DuplexMode::Full) {
-            plan.duplex.offload = plan.offload;
-            plan.duplex.prefetch = plan.prefetch;
-            plan.duplex.makespan_seconds =
-                std::max(plan.offload.overlapped_seconds,
-                         plan.prefetch.overlapped_seconds);
-        } else {
-            plan.duplex = TransferEngine(*this).modelFromRatio(
-                raw_bytes, plan.ratio, raw_bytes, plan.ratio);
-        }
+        // The expected shard train: uniform staging shards plus a
+        // trailing partial, with a configured fault process folded in
+        // as expected attempts and re-sent bytes.
+        const TransferEngine transfers(*this);
+        priceRoundTrip(plan, transfers,
+                       transfers.shardTrain(raw_bytes, plan.ratio));
     } else {
         plan.seconds = transferSeconds(plan.wire_bytes, plan.ratio);
     }

@@ -186,8 +186,8 @@ struct PrefetchTiming {
 /**
  * Finalize @p timing's overlap fraction in [0,1]: the share of the
  * hideable (shorter) leg actually hidden. One shared rule — the 1e-9
- * pins between the schedulers' closed forms and the duplex DES depend
- * on every model finalizing identically.
+ * pin between the uncontended pricing recurrence and the duplex DES
+ * depends on both finalizing identically.
  */
 inline void
 finalizeOverlapFraction(OffloadTiming &timing)
@@ -338,9 +338,9 @@ struct TransferConfig {
      * injector alive for the engine's lifetime). When set, the arena
      * transfer flows sample per-crossing damage from it — detected by
      * the CRC-32C shard framing and repaired by RetryPolicy — and the
-     * buffer flows and analytic models price the same process in
-     * expectation. nullptr = a perfect link (the historical behavior).
-     * Applied to every edge of the configured topology.
+     * plans price the same process in expectation, folded into the
+     * shard train they price. nullptr = a perfect link (the historical
+     * behavior). Applied to every edge of the configured topology.
      */
     sim::FaultInjector *fault_injector = nullptr;
     /** Retry/backoff/degradation policy for faulted crossings. */
@@ -412,47 +412,6 @@ struct CdmaConfig {
 void recordIntegrity(obs::MetricsRegistry &metrics,
                      const TransferIntegrity &integrity);
 
-/**
- * The pre-topology flat configuration layout, kept for one release so
- * existing initializer-heavy call sites keep compiling while they
- * migrate to the nested CdmaConfig sub-structs. Converts implicitly.
- */
-struct [[deprecated("use CdmaConfig's nested sub-structs")]]
-FlatCdmaConfig {
-    GpuSpec gpu;
-    Algorithm algorithm = Algorithm::Zvc;
-    uint64_t window_bytes = 4096;
-    bool compression_enabled = true;
-    unsigned compression_lanes = 1;
-    TimingMode timing_mode = TimingMode::CompressionFree;
-    uint64_t shard_bytes = 0;
-    unsigned staging_buffers = 2;
-    const KernelOps *kernels = nullptr;
-    DuplexMode duplex_mode = DuplexMode::Full;
-    LinkArbiter link_arbiter = LinkArbiter::RoundRobin;
-    sim::FaultInjector *fault_injector = nullptr;
-    RetryPolicy retry;
-
-    operator CdmaConfig() const
-    {
-        CdmaConfig config;
-        config.gpu = gpu;
-        config.compression.algorithm = algorithm;
-        config.compression.window_bytes = window_bytes;
-        config.compression.enabled = compression_enabled;
-        config.compression.lanes = compression_lanes;
-        config.compression.kernels = kernels;
-        config.transfer.timing_mode = timing_mode;
-        config.transfer.shard_bytes = shard_bytes;
-        config.transfer.staging_buffers = staging_buffers;
-        config.transfer.duplex_mode = duplex_mode;
-        config.transfer.link_arbiter = link_arbiter;
-        config.transfer.fault_injector = fault_injector;
-        config.transfer.retry = retry;
-        return config;
-    }
-};
-
 /** Outcome of planning one activation-map transfer. */
 struct TransferPlan {
     std::string label;
@@ -478,19 +437,21 @@ struct TransferPlan {
     PrefetchTiming prefetch;
     /**
      * Full-duplex race of this map's offload against an equal-size
-     * prefetch on the configured link (CdmaConfig::duplex_mode /
-     * link_arbiter): the per-direction makespans and the contention
-     * stall each direction pays when both share one half-duplex link.
-     * All zeros under TimingMode::CompressionFree. Under
-     * DuplexMode::Full, duplex.offload/duplex.prefetch coincide with
-     * the single-direction breakdowns above.
+     * prefetch on the engine's route (the configured graph's per-edge
+     * modes and arbiters, or CdmaConfig::duplex_mode / link_arbiter on
+     * the default link): the per-direction makespans and the contention
+     * stall each direction pays when both share a half-duplex edge.
+     * All zeros under TimingMode::CompressionFree. On a route whose
+     * every edge is full duplex, duplex.offload/duplex.prefetch
+     * coincide with the single-direction breakdowns above.
      */
     DuplexTiming duplex;
     /**
      * Expected integrity accounting for the offload + prefetch round
-     * trip under CdmaConfig::fault_injector (all zeros without one, and
-     * under TimingMode::CompressionFree, which has no shard pipeline to
-     * price retries on).
+     * trip under CdmaConfig::fault_injector. Without one, attempts
+     * counts one crossing per shard and direction and every other
+     * field is zero; all zeros under TimingMode::CompressionFree, which
+     * has no shard pipeline to price retries on.
      */
     TransferIntegrity integrity;
     /**

@@ -6,7 +6,6 @@
 
 #include "common/bits.hh"
 #include "common/logging.hh"
-#include "compress/kernels/kernels.hh"
 #include "obs/trace.hh"
 
 namespace cdma {
@@ -140,53 +139,6 @@ SpillArena::appendShard(SpillTicket ticket, const CompressedShard &shard)
         stats_.high_water_payload_bytes, stats_.live_payload_bytes);
 }
 
-SpillTicket
-SpillArena::store(const CompressedBuffer &buffer,
-                  uint64_t windows_per_shard)
-{
-    CDMA_ASSERT(windows_per_shard > 0, "shards need at least one window");
-    const SpillTicket ticket =
-        beginSpill(buffer.original_bytes, buffer.window_bytes);
-    const uint64_t windows = buffer.window_sizes.size();
-    uint64_t payload_cursor = 0;
-    uint64_t raw_cursor = 0;
-    CompressedShard shard;
-    shard.codec = buffer.codec;
-    for (uint64_t first = 0; first < windows;
-         first += windows_per_shard) {
-        const uint64_t last =
-            std::min(windows, first + windows_per_shard);
-        shard.index = first / windows_per_shard;
-        shard.first_window = first;
-        shard.window_sizes.assign(buffer.window_sizes.begin() +
-                                      static_cast<ptrdiff_t>(first),
-                                  buffer.window_sizes.begin() +
-                                      static_cast<ptrdiff_t>(last));
-        uint64_t payload_bytes = 0;
-        for (const uint32_t size : shard.window_sizes)
-            payload_bytes += size;
-        shard.payload.assign(buffer.payload.begin() +
-                                 static_cast<ptrdiff_t>(payload_cursor),
-                             buffer.payload.begin() +
-                                 static_cast<ptrdiff_t>(payload_cursor +
-                                                        payload_bytes));
-        payload_cursor += payload_bytes;
-        const uint64_t raw_end = std::min<uint64_t>(
-            buffer.original_bytes, last * buffer.window_bytes);
-        shard.raw_bytes = raw_end - raw_cursor;
-        raw_cursor = raw_end;
-        // Stitched buffers carry no per-shard CRC, so frame the shard
-        // here — same integrity contract as the streaming offload path.
-        shard.crc32c = activeKernels().crc32(0, shard.payload.data(),
-                                             shard.payload.size());
-        appendShard(ticket, shard);
-    }
-    CDMA_ASSERT(payload_cursor == buffer.payload.size() &&
-                    raw_cursor == buffer.original_bytes,
-                "spill store did not cover the buffer");
-    return ticket;
-}
-
 const SpillArena::Record &
 SpillArena::liveRecord(SpillTicket ticket) const
 {
@@ -255,29 +207,6 @@ SpillArena::shard(SpillTicket ticket, size_t index) const
     view.raw_framed = stored.raw_framed;
     view.codec = stored.codec;
     return view;
-}
-
-CompressedBuffer
-SpillArena::materialize(SpillTicket ticket) const
-{
-    const Record &record = liveRecord(ticket);
-    CompressedBuffer buffer;
-    buffer.original_bytes = record.original_bytes;
-    buffer.window_bytes = record.window_bytes;
-    buffer.window_sizes = record.window_sizes;
-    // A stitched buffer has one codec slot; mixed-codec spills only
-    // round-trip through the per-shard views (materialize() is the
-    // tests/interop path, which stores one codec per spill).
-    if (!record.shards.empty())
-        buffer.codec = record.shards.front().codec;
-    buffer.payload.reserve(payloadBytes(ticket));
-    for (const StoredShard &stored : record.shards) {
-        const uint8_t *data =
-            stored.payload_bytes > 0 ? slotData(stored.slot) : nullptr;
-        buffer.payload.insert(buffer.payload.end(), data,
-                              data + stored.payload_bytes);
-    }
-    return buffer;
 }
 
 void
@@ -518,13 +447,6 @@ TieredSpillArena::shard(SpillTicket ticket, size_t index) const
 {
     const Slot &slot = liveSlot(ticket);
     return tierOf(slot).shard(slot.inner, index);
-}
-
-CompressedBuffer
-TieredSpillArena::materialize(SpillTicket ticket) const
-{
-    const Slot &slot = liveSlot(ticket);
-    return tierOf(slot).materialize(slot.inner);
 }
 
 void

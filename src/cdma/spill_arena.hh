@@ -96,14 +96,6 @@ class SpillArena
     /** Append @p shard's payload + framing into an arena slot. */
     void appendShard(SpillTicket ticket, const CompressedShard &shard);
 
-    /**
-     * Convenience: spill an already-stitched buffer, cut into shards of
-     * @p windows_per_shard windows (the streaming path is
-     * OffloadScheduler::offloadInto, which skips the stitched copy).
-     */
-    SpillTicket store(const CompressedBuffer &buffer,
-                      uint64_t windows_per_shard);
-
     /** Uncompressed size of the spilled buffer. */
     uint64_t originalBytes(SpillTicket ticket) const;
 
@@ -121,13 +113,6 @@ class SpillArena
 
     /** View of stored shard @p index (valid until release()). */
     SpillShardView shard(SpillTicket ticket, size_t index) const;
-
-    /**
-     * Stitch the spilled shards back into a standalone CompressedBuffer
-     * (copies; tests and interop — the prefetch path decompresses the
-     * shard views in place instead).
-     */
-    CompressedBuffer materialize(SpillTicket ticket) const;
 
     /** Return the buffer's slots to the free lists; views die with it. */
     void release(SpillTicket ticket);
@@ -249,7 +234,6 @@ class TieredSpillArena
     uint64_t payloadBytes(SpillTicket ticket) const;
     size_t shardCount(SpillTicket ticket) const;
     SpillShardView shard(SpillTicket ticket, size_t index) const;
-    CompressedBuffer materialize(SpillTicket ticket) const;
 
     /** Release the spill's slots on whichever tier holds them. */
     void release(SpillTicket ticket);

@@ -29,6 +29,30 @@ backoffSeconds(uint32_t attempts, double base)
     return base * (std::ldexp(1.0, static_cast<int>(attempts) - 1) - 1.0);
 }
 
+/** Rate of @p offload_route's GPU-side edge, at which both directions
+ *  price re-sent bytes; 0 for a route with no edge. */
+double
+gpuEdgeRate(const Topology &topology, const Route &offload_route)
+{
+    return offload_route.empty()
+        ? 0.0
+        : topology.link(offload_route.hops.front().link)
+              .props.bytes_per_second;
+}
+
+/** Seconds @p shard's retries add to its wire leg: the failed
+ *  crossings at @p gpu_edge_rate plus the backoff. A route with no
+ *  edge (rate 0) prices the backoff alone. */
+double
+retryStallSeconds(const ShardTransfer &shard, double gpu_edge_rate,
+                  double backoff_base)
+{
+    const double resent = gpu_edge_rate > 0.0
+        ? static_cast<double>(shard.failed_wire_bytes) / gpu_edge_rate
+        : 0.0;
+    return resent + backoffSeconds(shard.attempts, backoff_base);
+}
+
 /**
  * Receiver-side view of one sampled crossing: applies @p outcome to a
  * scratch copy of @p payload and runs the same length + CRC-32C framing
@@ -135,60 +159,28 @@ TransferEngine::TransferEngine(const CdmaEngine &engine)
                                                config.compression.window_bytes);
     CDMA_ASSERT(config.transfer.staging_buffers >= 1,
                 "the transfer pipelines need at least one staging buffer");
-}
+    spec_.compress_bandwidth = config.gpu.comp_bandwidth;
+    spec_.decompress_bandwidth = config.gpu.comp_bandwidth;
+    spec_.staging_buffers = config.transfer.staging_buffers;
+    spec_.backoff_base_seconds = config.transfer.retry.backoff_seconds;
 
-OffloadResult
-TransferEngine::offload(std::span<const uint8_t> data,
-                        std::optional<Codec> codec_override) const
-{
-    const CdmaConfig &config = engine_.config();
-    const ParallelCompressor &compressor = codec_override
-        ? engine_.compressorFor(*codec_override)
-        : engine_.compressor();
-    OffloadResult result;
-    result.buffer.original_bytes = data.size();
-    result.buffer.window_bytes = config.compression.window_bytes;
-    result.buffer.codec = compressor.codecTag();
-
-    const uint64_t windows = ceilDiv(data.size(), config.compression.window_bytes);
-    result.buffer.window_sizes.reserve(windows);
-    result.shards.reserve(ceilDiv(windows, shard_windows_));
-    // Whole-buffer worst case reserved once, so the per-shard payload
-    // appends below never reallocate (mirrors Compressor::compress).
-    if (windows > 0) {
-        const Compressor &codec = compressor.serial();
-        result.buffer.payload.reserve(
-            (windows - 1) * codec.compressedBound(config.compression.window_bytes) +
-            codec.compressedBound(data.size() -
-                                  (windows - 1) * config.compression.window_bytes));
+    // The wire legs always ride the topology graph: the configured one,
+    // or the degenerate two-node GPU—host link built from the GpuSpec.
+    topology_ = config.topology.graph;
+    NodeId gpu_node = config.topology.gpu_node;
+    NodeId host_node = config.topology.host_node;
+    if (topology_ == nullptr) {
+        topology_ = Topology::pcieLink(config.gpu.pcie_effective_bandwidth,
+                                       config.transfer.duplex_mode,
+                                       config.transfer.link_arbiter);
+        gpu_node = topology_->firstNode(NodeKind::Gpu);
+        host_node = topology_->firstNode(NodeKind::HostDram);
     }
-
-    // The consumer is the staging drain: it runs on this thread in shard
-    // order while the lanes compress later shards, appending each shard's
-    // payload to the stitched buffer and recording its wire size for the
-    // pipeline model.
-    compressor.compressShards(
-        data, shard_windows_, [&](CompressedShard &&shard) {
-            result.shards.push_back(
-                {shard.raw_bytes,
-                 shard.effectiveBytes(config.compression.window_bytes)});
-            result.buffer.payload.insert(result.buffer.payload.end(),
-                                         shard.payload.begin(),
-                                         shard.payload.end());
-            result.buffer.window_sizes.insert(
-                result.buffer.window_sizes.end(),
-                shard.window_sizes.begin(), shard.window_sizes.end());
+    route_ = topology_->route(gpu_node, host_node);
+    contended_route_ = std::any_of(
+        route_.hops.begin(), route_.hops.end(), [&](const RouteHop &hop) {
+            return topology_->link(hop.link).props.mode == DuplexMode::Half;
         });
-
-    // The stitched buffer carries no per-shard CRC framing, so a
-    // configured fault process is priced in expectation here; the
-    // arena flow (offloadInto) samples it crossing by crossing.
-    applyExpectedFaults(result.shards);
-    result.integrity = trainIntegrity(result.shards);
-    result.timing = timingFor(result.shards, {}).offload;
-    result.integrity.retry_stall_seconds =
-        result.timing.retry_stall_seconds;
-    return result;
 }
 
 namespace {
@@ -220,14 +212,14 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
         ceilDiv(ceilDiv(data.size(), config.compression.window_bytes),
                 shard_windows));
 
-    // Same drain as offload(), but each shard lands in a recycled arena
-    // slot instead of growing a stitched payload vector. The drain is
-    // also where the shard crosses the wire, so the fault process (if
-    // any) is sampled here, crossing by crossing: a damaged crossing is
-    // caught by the length/CRC framing checks and re-sent, degrading to
-    // raw framing and finally giving up per the RetryPolicy. The drain
-    // runs serially on this thread in shard order, which keeps the
-    // injector's draw sequence deterministic.
+    // The consumer is the staging drain: it lands each shard in a
+    // recycled arena slot while the lanes compress later shards. The
+    // drain is also where the shard crosses the wire, so the fault
+    // process (if any) is sampled here, crossing by crossing: a damaged
+    // crossing is caught by the length/CRC framing checks and re-sent,
+    // degrading to raw framing and finally giving up per the
+    // RetryPolicy. The drain runs serially on this thread in shard
+    // order, which keeps the injector's draw sequence deterministic.
     Status fault_error;
     compressor.compressShards(
         data, shard_windows, [&](CompressedShard &&shard) {
@@ -303,37 +295,6 @@ TransferEngine::offloadInto(std::span<const uint8_t> data,
                             std::optional<Codec> codec) const
 {
     return offloadIntoArena(*this, data, arena, codec);
-}
-
-StatusOr<PrefetchResult>
-TransferEngine::prefetch(const CompressedBuffer &buffer) const
-{
-    PrefetchResult result;
-    result.data.resize(buffer.original_bytes);
-    result.shards.reserve(ceilDiv(buffer.window_sizes.size(),
-                                  shard_windows_));
-
-    // The consumer is the expand drain: notifications arrive on this
-    // thread in shard order while the lanes reconstruct later shards,
-    // recording each shard's byte counts for the pipeline model (the
-    // raw bytes themselves land directly in the output region). The
-    // buffer's codec tag picks the decoder, so an adaptive peer's
-    // choice round-trips (Fixed engines have no bank and keep their
-    // single configured codec).
-    const Status status = engine_.compressorFor(buffer.codec).decompressShards(
-        buffer, shard_windows_, result.data.data(),
-        [&](const ParallelCompressor::DecompressedShard &shard) {
-            result.shards.push_back({shard.raw_bytes, shard.wire_bytes});
-        });
-    if (!status.ok())
-        return status;
-
-    applyExpectedFaults(result.shards);
-    result.integrity = trainIntegrity(result.shards);
-    result.timing = timingFor({}, result.shards).prefetch;
-    result.integrity.retry_stall_seconds =
-        result.timing.retry_stall_seconds;
-    return result;
 }
 
 namespace {
@@ -617,58 +578,11 @@ TransferEngine::transfer(std::span<const uint8_t> offload_data,
     // Re-time both measured shard trains as one race on the shared
     // link: the per-direction breakdowns pick up any contention the
     // independent flows above could not see.
-    result.timing = timingFor(result.offload.shards,
-                              result.prefetch.shards);
+    result.timing = duplexTiming(result.offload.shards,
+                                 result.prefetch.shards);
     result.offload.timing = result.timing.offload;
     result.prefetch.timing = result.timing.prefetch;
     return result;
-}
-
-DuplexTiming
-TransferEngine::timingFor(std::span<const ShardTransfer> offload_shards,
-                          std::span<const ShardTransfer> prefetch_shards)
-    const
-{
-    const CdmaConfig &config = engine_.config();
-    PipelineSpec spec;
-    spec.compress_bandwidth = config.gpu.comp_bandwidth;
-    spec.decompress_bandwidth = config.gpu.comp_bandwidth;
-    spec.staging_buffers = config.transfer.staging_buffers;
-    spec.backoff_base_seconds = config.transfer.retry.backoff_seconds;
-
-    DuplexTiming timing;
-    timing.offload.shard_count = offload_shards.size();
-    timing.prefetch.shard_count = prefetch_shards.size();
-    if (offload_shards.empty() && prefetch_shards.empty())
-        return timing;
-
-    // The wire legs always ride the topology graph: the configured one,
-    // or the degenerate two-node GPU—host link built from the GpuSpec
-    // (identical event timeline to the historical single channel).
-    std::shared_ptr<const Topology> topo = config.topology.graph;
-    NodeId gpu_node = config.topology.gpu_node;
-    NodeId host_node = config.topology.host_node;
-    if (topo == nullptr) {
-        topo = Topology::pcieLink(config.gpu.pcie_effective_bandwidth,
-                                  config.transfer.duplex_mode,
-                                  config.transfer.link_arbiter);
-        gpu_node = topo->firstNode(NodeKind::Gpu);
-        host_node = topo->firstNode(NodeKind::HostDram);
-    }
-    EventQueue queue;
-    LinkNetwork network(queue, *topo);
-    DuplexPipeline pipeline(
-        network, topo->route(gpu_node, host_node),
-        {offload_shards.begin(), offload_shards.end()},
-        {prefetch_shards.begin(), prefetch_shards.end()}, spec,
-        config.topology.source);
-    // Metrics only: every call here opens a fresh t=0 event queue, so a
-    // trace recorder (one coherent timeline) cannot attach at this
-    // level — but shard latency histograms are origin-agnostic.
-    pipeline.setObservers(nullptr, config.obs.metrics, "");
-    pipeline.start();
-    queue.run();
-    return pipeline.collect();
 }
 
 DuplexTiming
@@ -676,7 +590,27 @@ TransferEngine::duplexTiming(
     std::span<const ShardTransfer> offload_shards,
     std::span<const ShardTransfer> prefetch_shards) const
 {
-    return timingFor(offload_shards, prefetch_shards);
+    obs::MetricsRegistry *metrics = engine_.config().obs.metrics;
+    if (offload_shards.empty() || prefetch_shards.empty() ||
+        !contended_route_) {
+        return uncontendedTiming(*topology_, route_, offload_shards,
+                                 prefetch_shards, spec_, metrics);
+    }
+    // Both trains on a route with a half-duplex edge: they race for it,
+    // and only the DES models the race.
+    EventQueue queue;
+    LinkNetwork network(queue, *topology_);
+    DuplexPipeline pipeline(
+        network, route_, {offload_shards.begin(), offload_shards.end()},
+        {prefetch_shards.begin(), prefetch_shards.end()}, spec_,
+        engine_.config().topology.source);
+    // Metrics only: every call here opens a fresh t=0 event queue, so a
+    // trace recorder (one coherent timeline) cannot attach at this
+    // level — but shard latency histograms are origin-agnostic.
+    pipeline.setObservers(nullptr, metrics, "");
+    pipeline.start();
+    queue.run();
+    return pipeline.collect();
 }
 
 std::vector<ShardTransfer>
@@ -752,50 +686,198 @@ TransferEngine::modelFromRatio(uint64_t offload_raw, double offload_ratio,
                                uint64_t prefetch_raw,
                                double prefetch_ratio) const
 {
-    return timingFor(shardTrain(offload_raw, offload_ratio),
-                     shardTrain(prefetch_raw, prefetch_ratio));
+    return duplexTiming(shardTrain(offload_raw, offload_ratio),
+                        shardTrain(prefetch_raw, prefetch_ratio));
 }
 
-DuplexTiming
-TransferEngine::pipelineTiming(
-    std::span<const ShardTransfer> offload_shards,
-    std::span<const ShardTransfer> prefetch_shards,
-    double compress_bandwidth, double wire_bandwidth,
-    double decompress_bandwidth, unsigned staging_buffers,
-    DuplexMode mode, LinkArbiter arbiter, double backoff_base_seconds)
-{
-    CDMA_ASSERT(compress_bandwidth > 0.0 && wire_bandwidth > 0.0 &&
-                    decompress_bandwidth > 0.0,
-                "pipeline model needs positive bandwidths");
-    CDMA_ASSERT(staging_buffers >= 1, "need at least one staging buffer");
+namespace {
 
+/** One edge of a route as the recurrence walks it. */
+struct HopState {
+    double bytes_per_second = 0.0;
+    SimTime latency_seconds = 0.0;
+    SimTime free_at = 0.0; ///< the edge's FIFO has drained by then
+};
+
+/** A shard holding a staging buffer: when it lands, and which it is. */
+struct HeldShard {
+    SimTime landed = 0.0;
+    size_t shard = 0;
+};
+
+/**
+ * Move @p shard's wire leg, failed crossings included, along @p hops
+ * from time @p enter: each edge serves it FIFO, store-and-forward, and
+ * the @p backoff rides on the first edge — what LinkNetwork::submitHop
+ * charges. A route with no edge costs the backoff alone, as
+ * LinkNetwork::submit prices a move within one node. Adds the leg's
+ * service time to @p service and returns when the shard lands.
+ */
+SimTime
+walkRoute(std::span<HopState> hops, const ShardTransfer &shard,
+          SimTime enter, SimTime backoff, SimTime &service)
+{
+    if (hops.empty()) {
+        service += backoff;
+        return enter + backoff;
+    }
+    const uint64_t bytes = shard.wire_bytes + shard.failed_wire_bytes;
+    SimTime leg = 0.0;
+    SimTime at = enter;
+    for (HopState &hop : hops) {
+        const SimTime start = std::max(at, hop.free_at);
+        at = start + (static_cast<double>(bytes) / hop.bytes_per_second +
+                      (backoff + hop.latency_seconds));
+        hop.free_at = at;
+        leg += at - start;
+        backoff = 0.0;
+    }
+    service += leg;
+    return at;
+}
+
+/** Offload leg of uncontendedTiming(): @p held has one entry per
+ *  staging buffer. */
+OffloadTiming
+offloadLeg(std::span<const ShardTransfer> shards, std::span<HopState> hops,
+           std::span<HeldShard> held, const PipelineSpec &spec,
+           double gpu_edge_rate, obs::HistogramMetric *latency)
+{
+    OffloadTiming timing;
+    timing.shard_count = shards.size();
+    SimTime engine_free = 0.0;
+    size_t holding = 0;
+    for (const ShardTransfer &shard : shards) {
+        // With every staging buffer taken, the first to land frees one.
+        SimTime start = engine_free;
+        size_t buffer = holding;
+        if (holding < held.size()) {
+            ++holding;
+        } else {
+            buffer = static_cast<size_t>(
+                std::min_element(held.begin(), held.end(),
+                                 [](const HeldShard &a, const HeldShard &b) {
+                                     return a.landed < b.landed;
+                                 }) -
+                held.begin());
+            start = std::max(start, held[buffer].landed);
+        }
+        const SimTime compress = static_cast<double>(shard.raw_bytes) /
+            spec.compress_bandwidth;
+        engine_free = start + compress;
+        const SimTime landed = walkRoute(
+            hops, shard, engine_free,
+            backoffSeconds(shard.attempts, spec.backoff_base_seconds),
+            timing.wire_seconds);
+        held[buffer].landed = landed;
+        timing.compress_seconds += compress;
+        timing.retry_stall_seconds += retryStallSeconds(
+            shard, gpu_edge_rate, spec.backoff_base_seconds);
+        timing.overlapped_seconds =
+            std::max(timing.overlapped_seconds, landed);
+        if (latency != nullptr)
+            latency->record(landed - engine_free);
+    }
+    finalizeOverlapFraction(timing);
+    return timing;
+}
+
+/** Prefetch leg of uncontendedTiming(): @p hops walk the route from
+ *  the host side, and @p held has one entry per staging buffer. */
+PrefetchTiming
+prefetchLeg(std::span<const ShardTransfer> shards, std::span<HopState> hops,
+            std::span<HeldShard> held, const PipelineSpec &spec,
+            double gpu_edge_rate, obs::HistogramMetric *latency)
+{
+    PrefetchTiming timing;
+    timing.shard_count = shards.size();
+    SimTime engine_free = 0.0;
+    size_t next = 0;
+    size_t holding = 0;
+    for (size_t expanded = 0; expanded < shards.size(); ++expanded) {
+        // Every free staging buffer takes the next shard onto the route:
+        // all of them at t=0, then one each time an expansion ends.
+        while (next < shards.size() && holding < held.size()) {
+            const ShardTransfer &shard = shards[next];
+            const SimTime landed = walkRoute(
+                hops, shard, engine_free,
+                backoffSeconds(shard.attempts, spec.backoff_base_seconds),
+                timing.wire_seconds);
+            if (latency != nullptr)
+                latency->record(landed - engine_free);
+            timing.decompress_seconds +=
+                static_cast<double>(shard.raw_bytes) /
+                spec.decompress_bandwidth;
+            timing.retry_stall_seconds += retryStallSeconds(
+                shard, gpu_edge_rate, spec.backoff_base_seconds);
+            held[holding++] = {landed, next++};
+        }
+        // The serial engine expands shards in the order they land (an
+        // earlier shard first on a tie, as its landing fires first).
+        HeldShard *first = std::min_element(
+            held.data(), held.data() + holding,
+            [](const HeldShard &a, const HeldShard &b) {
+                return a.landed < b.landed ||
+                    (a.landed == b.landed && a.shard < b.shard);
+            });
+        engine_free = std::max(engine_free, first->landed) +
+            static_cast<double>(shards[first->shard].raw_bytes) /
+                spec.decompress_bandwidth;
+        *first = held[--holding];
+    }
+    timing.overlapped_seconds = engine_free;
+    finalizeOverlapFraction(timing);
+    return timing;
+}
+
+} // namespace
+
+DuplexTiming
+uncontendedTiming(const Topology &topology, const Route &route,
+                  std::span<const ShardTransfer> offload_shards,
+                  std::span<const ShardTransfer> prefetch_shards,
+                  const PipelineSpec &spec, obs::MetricsRegistry *metrics)
+{
+    CDMA_ASSERT(spec.compress_bandwidth > 0.0 &&
+                    spec.decompress_bandwidth > 0.0,
+                "pipeline model needs positive engine bandwidths");
+    CDMA_ASSERT(spec.staging_buffers >= 1,
+                "need at least one staging buffer");
     DuplexTiming timing;
     timing.offload.shard_count = offload_shards.size();
     timing.prefetch.shard_count = prefetch_shards.size();
     if (offload_shards.empty() && prefetch_shards.empty())
         return timing;
 
-    // The explicit-bandwidth entry point rides the degenerate two-node
-    // graph: one GPU—host edge, whose routed timeline reproduces the
-    // historical direct-channel submission event for event.
-    const std::shared_ptr<const Topology> topo =
-        Topology::pcieLink(wire_bandwidth, mode, arbiter);
-    EventQueue queue;
-    LinkNetwork network(queue, *topo);
-    PipelineSpec spec;
-    spec.compress_bandwidth = compress_bandwidth;
-    spec.decompress_bandwidth = decompress_bandwidth;
-    spec.staging_buffers = staging_buffers;
-    spec.backoff_base_seconds = backoff_base_seconds;
-    DuplexPipeline pipeline(
-        network,
-        topo->route(topo->firstNode(NodeKind::Gpu),
-                    topo->firstNode(NodeKind::HostDram)),
-        {offload_shards.begin(), offload_shards.end()},
-        {prefetch_shards.begin(), prefetch_shards.end()}, spec);
-    pipeline.start();
-    queue.run();
-    return pipeline.collect();
+    obs::HistogramMetric *off_latency = nullptr;
+    obs::HistogramMetric *pre_latency = nullptr;
+    if (metrics != nullptr) {
+        off_latency =
+            &metrics->histogram("transfer.offload.shard_latency_seconds");
+        pre_latency =
+            &metrics->histogram("transfer.prefetch.shard_latency_seconds");
+    }
+    std::vector<HopState> hops;
+    hops.reserve(route.hops.size());
+    for (const RouteHop &hop : route.hops) {
+        const LinkProps &props = topology.link(hop.link).props;
+        hops.push_back({props.bytes_per_second, props.latency_seconds});
+    }
+    std::vector<HeldShard> held(spec.staging_buffers);
+    const double gpu_edge_rate = gpuEdgeRate(topology, route);
+
+    timing.offload = offloadLeg(offload_shards, hops, held, spec,
+                                gpu_edge_rate, off_latency);
+    // The prefetch leg walks the same edges from the host side, on their
+    // other (full-duplex) direction: fresh FIFOs.
+    std::reverse(hops.begin(), hops.end());
+    for (HopState &hop : hops)
+        hop.free_at = 0.0;
+    timing.prefetch = prefetchLeg(prefetch_shards, hops, held, spec,
+                                  gpu_edge_rate, pre_latency);
+    timing.makespan_seconds = std::max(timing.offload.overlapped_seconds,
+                                       timing.prefetch.overlapped_seconds);
+    return timing;
 }
 
 DuplexPipeline::DuplexPipeline(LinkNetwork &network, Route offload_route,
@@ -1006,15 +1088,14 @@ DuplexPipeline::collect() const
     timing.offload.shard_count = offload_shards_.size();
     timing.prefetch.shard_count = prefetch_shards_.size();
 
+    const double gpu_edge_rate =
+        gpuEdgeRate(network_.topology(), offload_route_);
     for (const ShardTransfer &shard : offload_shards_) {
         timing.offload.compress_seconds +=
             static_cast<double>(shard.raw_bytes) /
             spec_.compress_bandwidth;
-        timing.offload.retry_stall_seconds +=
-            static_cast<double>(shard.failed_wire_bytes) /
-                network_.topology().link(offload_route_.hops.front().link)
-                    .props.bytes_per_second +
-            backoffSeconds(shard.attempts, spec_.backoff_base_seconds);
+        timing.offload.retry_stall_seconds += retryStallSeconds(
+            shard, gpu_edge_rate, spec_.backoff_base_seconds);
     }
     timing.offload.wire_seconds = off_wire_seconds_;
     timing.offload.overlapped_seconds = last_off_drain_;
@@ -1025,11 +1106,8 @@ DuplexPipeline::collect() const
         timing.prefetch.decompress_seconds +=
             static_cast<double>(shard.raw_bytes) /
             spec_.decompress_bandwidth;
-        timing.prefetch.retry_stall_seconds +=
-            static_cast<double>(shard.failed_wire_bytes) /
-                network_.topology().link(offload_route_.hops.front().link)
-                    .props.bytes_per_second +
-            backoffSeconds(shard.attempts, spec_.backoff_base_seconds);
+        timing.prefetch.retry_stall_seconds += retryStallSeconds(
+            shard, gpu_edge_rate, spec_.backoff_base_seconds);
     }
     timing.prefetch.overlapped_seconds = last_expand_;
     finalizeOverlapFraction(timing.prefetch);
@@ -1038,202 +1116,6 @@ DuplexPipeline::collect() const
     timing.offload_contention_seconds = off_contention_;
     timing.prefetch_contention_seconds = pre_contention_;
     return timing;
-}
-
-// ---------------------------------------------------------------------
-// Single-direction scheduler facades (historically their own .cc files).
-// ---------------------------------------------------------------------
-
-OffloadScheduler::OffloadScheduler(const CdmaEngine &engine)
-    : engine_(engine)
-{
-}
-
-OffloadResult
-OffloadScheduler::offload(std::span<const uint8_t> data) const
-{
-    return engine_.offload(data);
-}
-
-StatusOr<SpilledOffload>
-OffloadScheduler::offloadInto(std::span<const uint8_t> data,
-                              SpillArena &arena) const
-{
-    return engine_.offloadInto(data, arena);
-}
-
-OffloadTiming
-OffloadScheduler::modelFromRatio(uint64_t raw_bytes, double ratio) const
-{
-    CDMA_ASSERT(ratio >= 1.0, "ratio %f below store-raw floor", ratio);
-    const CdmaConfig &config = engine_.cdma().config();
-    const double comp_bw = config.gpu.comp_bandwidth;
-    const double wire_bw = config.gpu.pcie_effective_bandwidth;
-    const unsigned buffers = config.transfer.staging_buffers;
-    const uint64_t shard_raw =
-        shardWindows() * config.compression.window_bytes;
-
-    OffloadTiming timing;
-    if (raw_bytes == 0)
-        return timing;
-
-    // Closed form over the shard shape the DES would replay: `full`
-    // uniform shards of shard_raw bytes plus at most one partial tail.
-    // The per-shard wire bytes reproduce the DES arithmetic exactly
-    // (store-raw-floored truncation per shard).
-    const uint64_t full = raw_bytes / shard_raw;
-    const uint64_t tail_raw = raw_bytes % shard_raw;
-    timing.shard_count = full + (tail_raw != 0 ? 1 : 0);
-
-    const double c = static_cast<double>(shard_raw) / comp_bw;
-    const double w = static_cast<double>(static_cast<uint64_t>(
-                         static_cast<double>(shard_raw) / ratio)) /
-        wire_bw;
-    const double tail_c = static_cast<double>(tail_raw) / comp_bw;
-    const double tail_w = static_cast<double>(static_cast<uint64_t>(
-                              static_cast<double>(tail_raw) / ratio)) /
-        wire_bw;
-
-    const double n = static_cast<double>(full);
-    timing.compress_seconds = n * c + tail_c;
-    timing.wire_seconds = n * w + tail_w;
-
-    if (buffers == 1) {
-        // A single staging buffer serializes every shard end to end.
-        timing.overlapped_seconds =
-            timing.compress_seconds + timing.wire_seconds;
-    } else if (full == 0) {
-        // Tail-only transfer: one shard, nothing to overlap with.
-        timing.overlapped_seconds = tail_c + tail_w;
-    } else if (w >= c) {
-        // Wire-bound: one compression fill, then the wire never starves
-        // (the tail's compression hides under the previous shard's wire
-        // time because tail_c <= c <= w).
-        timing.overlapped_seconds = c + n * w + tail_w;
-    } else {
-        // Compression-bound (fetch-capped): the serial compression
-        // engine paces the pipeline; the tail's wire leg waits for
-        // whichever of its own compression or the previous shard's
-        // drain finishes last.
-        timing.overlapped_seconds =
-            n * c + std::max(tail_c, w) + tail_w;
-    }
-    finalizeOverlapFraction(timing);
-    return timing;
-}
-
-OffloadTiming
-OffloadScheduler::pipelineTiming(std::span<const ShardTransfer> shards,
-                                 double compress_bandwidth,
-                                 double wire_bandwidth,
-                                 unsigned staging_buffers)
-{
-    // The duplex DES with the prefetch direction idle: the shared link
-    // degenerates to a single-direction FIFO, reproducing the original
-    // offload-only event timeline exactly.
-    return TransferEngine::pipelineTiming(
-               shards, {}, compress_bandwidth, wire_bandwidth,
-               /*decompress_bandwidth=*/compress_bandwidth,
-               staging_buffers, DuplexMode::Half,
-               LinkArbiter::RoundRobin)
-        .offload;
-}
-
-PrefetchScheduler::PrefetchScheduler(const CdmaEngine &engine)
-    : engine_(engine)
-{
-}
-
-StatusOr<PrefetchResult>
-PrefetchScheduler::prefetch(const CompressedBuffer &buffer) const
-{
-    return engine_.prefetch(buffer);
-}
-
-StatusOr<PrefetchResult>
-PrefetchScheduler::prefetch(const SpillArena &arena,
-                            SpillTicket ticket) const
-{
-    return engine_.prefetch(arena, ticket);
-}
-
-PrefetchTiming
-PrefetchScheduler::modelFromRatio(uint64_t raw_bytes, double ratio) const
-{
-    CDMA_ASSERT(ratio >= 1.0, "ratio %f below store-raw floor", ratio);
-    const CdmaConfig &config = engine_.cdma().config();
-    const double wire_bw = config.gpu.pcie_effective_bandwidth;
-    const double decomp_bw = config.gpu.comp_bandwidth;
-    const unsigned buffers = config.transfer.staging_buffers;
-    const uint64_t shard_raw =
-        shardWindows() * config.compression.window_bytes;
-
-    PrefetchTiming timing;
-    if (raw_bytes == 0)
-        return timing;
-
-    // Closed form over the shard shape the DES would replay: `full`
-    // uniform shards of shard_raw bytes plus at most one partial tail,
-    // with the per-shard wire bytes reproducing the DES arithmetic
-    // exactly (store-raw-floored truncation per shard). Stage one is
-    // the wire, stage two the serial decompression engine — the
-    // offload closed form with the roles swapped.
-    const uint64_t full = raw_bytes / shard_raw;
-    const uint64_t tail_raw = raw_bytes % shard_raw;
-    timing.shard_count = full + (tail_raw != 0 ? 1 : 0);
-
-    const double d = static_cast<double>(shard_raw) / decomp_bw;
-    const double w = static_cast<double>(static_cast<uint64_t>(
-                         static_cast<double>(shard_raw) / ratio)) /
-        wire_bw;
-    const double tail_d = static_cast<double>(tail_raw) / decomp_bw;
-    const double tail_w = static_cast<double>(static_cast<uint64_t>(
-                              static_cast<double>(tail_raw) / ratio)) /
-        wire_bw;
-
-    const double n = static_cast<double>(full);
-    timing.wire_seconds = n * w + tail_w;
-    timing.decompress_seconds = n * d + tail_d;
-
-    if (buffers == 1) {
-        // A single staging buffer serializes every shard end to end.
-        timing.overlapped_seconds =
-            timing.wire_seconds + timing.decompress_seconds;
-    } else if (full == 0) {
-        // Tail-only transfer: one shard, nothing to overlap with.
-        timing.overlapped_seconds = tail_w + tail_d;
-    } else if (d >= w) {
-        // Decompression-bound (fetch-capped layers land here: high
-        // ratios make the wire leg short): one wire fill, then the
-        // serial decompression engine never starves (the tail's wire
-        // time hides under the previous shard's expansion because
-        // tail_w <= w <= d).
-        timing.overlapped_seconds = w + n * d + tail_d;
-    } else {
-        // Wire-bound: the FIFO link paces the pipeline; the tail's
-        // expansion waits for whichever of its own wire transfer or
-        // the previous shard's expansion finishes last.
-        timing.overlapped_seconds =
-            n * w + std::max(tail_w, d) + tail_d;
-    }
-    finalizeOverlapFraction(timing);
-    return timing;
-}
-
-PrefetchTiming
-PrefetchScheduler::pipelineTiming(std::span<const ShardTransfer> shards,
-                                  double wire_bandwidth,
-                                  double decompress_bandwidth,
-                                  unsigned staging_buffers)
-{
-    // The duplex DES with the offload direction idle: the shared link
-    // degenerates to a single-direction FIFO, reproducing the original
-    // prefetch-only event timeline exactly.
-    return TransferEngine::pipelineTiming(
-               {}, shards, /*compress_bandwidth=*/decompress_bandwidth,
-               wire_bandwidth, decompress_bandwidth, staging_buffers,
-               DuplexMode::Half, LinkArbiter::RoundRobin)
-        .prefetch;
 }
 
 } // namespace cdma

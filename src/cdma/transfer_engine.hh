@@ -1,36 +1,36 @@
 /**
  * @file
- * Unified full-duplex transfer engine — one DMA engine arbitrating both
+ * Unified full-duplex transfer engine — one DMA engine driving both
  * directions of the PCIe link, the way the paper's Figure 2(b) overlaps
  * the offload of layer n+1's input with the prefetch of layer n-1's and
  * the Figure 13 speedups assume the cDMA unit services both
- * concurrently. The engine owns one sim::EventQueue and one duplex
- * sim::Channel and runs BOTH double-buffered pipelines on it:
+ * concurrently. Each direction is a double-buffered two-stage pipeline
+ * (Section V-C):
  *
  *   offload:  serial compression engine (COMP_BW) -> staging buffer ->
- *             wire out (DuplexChannel Direction::Out)
- *   prefetch: wire in (Direction::In) -> staging buffer ->
+ *             wire out along the engine's route
+ *   prefetch: wire in along the route -> staging buffer ->
  *             serial decompression engine (COMP_BW)
  *
  * The compression and decompression engines are provisioned separately
  * (the paper's CPE vs DPE replicas, Section V-B), so they never contend
- * with each other — only the wire is shared, and only under
- * DuplexMode::Half, where the link arbiter (round-robin or fixed
- * priority) picks which pending direction's shard crosses next. With
- * the opposing direction idle the duplex DES degenerates exactly to the
- * single-direction pipelines that OffloadScheduler / PrefetchScheduler
- * model (their closed forms are pinned against it at 1e-9), so the two
- * direction schedulers are now thin facades over this engine, defined
- * at the bottom of this header — the one header to include for
- * transfer planning.
+ * with each other — only the wire is shared, and only on a half-duplex
+ * edge, where the link arbiter (round-robin or fixed priority) picks
+ * which pending direction's shard crosses next.
  *
- * Since the topology redesign the wire legs ride a Route through a
- * sim Topology graph instead of one hardwired DuplexChannel: the
- * default configuration routes over the degenerate two-node GPU—host
- * graph (identical event timeline, pins unmoved), and a configured
- * TopologyConfig routes them across switches and shared uplinks. The
- * DES core is DuplexPipeline, a restartable driver FleetSimulator
- * instantiates once per GPU on one shared LinkNetwork.
+ * TransferEngine::duplexTiming is the one pricing entry point. A shard
+ * train with nothing to contend with — either direction alone, or both
+ * on a route whose every edge is full duplex — is priced by
+ * uncontendedTiming(), an O(shards x hops) recurrence. Only two trains
+ * racing for a half-duplex edge run the DES, DuplexPipeline, which also
+ * stays the reference the recurrence is pinned against at 1e-9 and the
+ * model FleetSimulator instantiates once per GPU on one shared
+ * LinkNetwork.
+ *
+ * The wire legs ride a Route through a sim Topology graph: the default
+ * configuration routes over the degenerate two-node GPU—host graph, and
+ * a configured TopologyConfig routes them across switches and shared
+ * uplinks.
  */
 
 #ifndef CDMA_CDMA_TRANSFER_ENGINE_HH
@@ -64,18 +64,6 @@ struct ShardTransfer {
     bool degraded = false;
 };
 
-/** Outcome of one scheduled offload: data and modeled timing. */
-struct OffloadResult {
-    /** Compressed buffer, byte-identical to ParallelCompressor::compress. */
-    CompressedBuffer buffer;
-    /** Pipeline timing over the real per-shard compressed sizes. */
-    OffloadTiming timing;
-    /** Per-shard byte counts, in drain order. */
-    std::vector<ShardTransfer> shards;
-    /** Fault/retry accounting (expectation-priced on this flow). */
-    TransferIntegrity integrity;
-};
-
 /** Outcome of an offload spilled into an arena instead of a buffer. */
 struct SpilledOffload {
     /** Arena reference to the stored shards (caller releases it). */
@@ -96,8 +84,7 @@ struct PrefetchResult {
     PrefetchTiming timing;
     /** Per-shard byte counts, in arrival order. */
     std::vector<ShardTransfer> shards;
-    /** Fault/retry accounting (sampled on the arena flow,
-     *  expectation-priced on the buffer flow). */
+    /** Fault/retry accounting (sampled per crossing). */
     TransferIntegrity integrity;
 };
 
@@ -110,6 +97,41 @@ struct PipelineSpec {
 };
 
 /**
+ * Price one engine's shard trains when nothing contends with them: the
+ * double-buffered pipelines as an O(shards x hops) recurrence over
+ * @p route through @p topology, with a fixed number of allocations per
+ * call and none per shard.
+ *
+ *  - Offload: a shard starts compressing once the serial compression
+ *    engine and a staging buffer are free (a buffer frees when its
+ *    shard lands, so shard k waits for shard k - staging_buffers on a
+ *    route with an edge). Each edge of the route serves the wire leg
+ *    FIFO, store-and-forward, in (wire_bytes + failed_wire_bytes) /
+ *    rate plus the edge's latency; the retry backoff,
+ *    base * (2^(attempts-1) - 1), rides on the first edge (the retry
+ *    sequence holds the shard's DMA slot until it lands). That is what
+ *    LinkNetwork charges a routed transfer.
+ *  - Prefetch: shards enter the reversed route in order, each once a
+ *    staging buffer is free (a buffer frees when its shard finishes
+ *    expanding); the serial decompression engine expands shards in
+ *    the order they land.
+ *  - A route with no edge (GPU and host on one node) costs no edge
+ *    time; the backoff still counts, as LinkNetwork::submit prices it.
+ *
+ * Either train may be empty. With both present each is priced on its
+ * own, which is exact when they cannot meet: every edge of the route
+ * full duplex. The result carries every DuplexTiming field with zero
+ * contention, and @p metrics (optional) receives the same
+ * `transfer.{offload,prefetch}.shard_latency_seconds` samples the DES
+ * records. DuplexPipeline is the reference this is pinned against.
+ */
+DuplexTiming uncontendedTiming(const Topology &topology, const Route &route,
+                               std::span<const ShardTransfer> offload_shards,
+                               std::span<const ShardTransfer> prefetch_shards,
+                               const PipelineSpec &spec,
+                               obs::MetricsRegistry *metrics = nullptr);
+
+/**
  * The duplex DES core as a restartable driver: both double-buffered
  * pipelines of ONE engine, with the wire legs routed through a
  * LinkNetwork instead of a hardwired channel. Offload shards travel
@@ -118,7 +140,10 @@ struct PipelineSpec {
  * pipelines can share one network/event queue — that is exactly a
  * fleet, and @p source tags this pipeline's wire legs so shared edges
  * attribute queueing waits across pipelines (RouteGrant's
- * cross_source_wait).
+ * cross_source_wait). Stages and retries are priced as in
+ * uncontendedTiming(); what only the DES adds is contention, between
+ * the two directions on a half-duplex edge and between pipelines on a
+ * shared one.
  *
  * Usage: construct, start(), run the network's event queue (once, even
  * with many pipelines started), then collect().
@@ -231,21 +256,7 @@ class TransferEngine
     /** The cDMA engine this transfer engine drives. */
     const CdmaEngine &cdma() const { return engine_; }
 
-    // ---- Real-bytes flows (the direction schedulers delegate here) ----
-
-    /**
-     * Offload @p data: compress it shard-by-shard on the engine's lanes,
-     * stitch the shards into a CompressedBuffer as they drain (in shard
-     * order, while later shards are still compressing), and model the
-     * double-buffered pipeline over the measured per-shard sizes.
-     *
-     * @p codec overrides the engine's fixed codec for this transfer
-     * (the adaptive policy's choice — requires the engine's codec bank
-     * when it differs from the fixed codec); nullopt = the engine's
-     * configured compressor, the historical behavior.
-     */
-    OffloadResult offload(std::span<const uint8_t> data,
-                          std::optional<Codec> codec = std::nullopt) const;
+    // ---- Real-bytes flows ----
 
     /**
      * Offload @p data into @p arena: shards stream from the compression
@@ -261,9 +272,12 @@ class TransferEngine
      * failures). Returns Status::retryExhausted — with the partially
      * filled ticket released — when a shard burns every attempt.
      *
-     * @p codec as in offload(): per-transfer override of the engine's
-     * fixed codec. Every stored shard carries its codec tag, so spills
-     * written with different overrides decode correctly side by side.
+     * @p codec overrides the engine's fixed codec for this transfer
+     * (the adaptive policy's choice — requires the engine's codec bank
+     * when it differs from the fixed codec); nullopt = the engine's
+     * configured compressor. Every stored shard carries its codec tag,
+     * so spills written with different overrides decode correctly side
+     * by side.
      */
     StatusOr<SpilledOffload>
     offloadInto(std::span<const uint8_t> data, SpillArena &arena,
@@ -278,17 +292,6 @@ class TransferEngine
     StatusOr<SpilledOffload>
     offloadInto(std::span<const uint8_t> data, TieredSpillArena &arena,
                 std::optional<Codec> codec = std::nullopt) const;
-
-    /**
-     * Prefetch @p buffer: reconstruct it shard-by-shard on the engine's
-     * lanes (consumed in deterministic shard order) and model the
-     * double-buffered pipeline over the measured per-shard sizes.
-     * Decode errors (a corrupt or truncated payload) propagate as a
-     * non-OK Status instead of crashing. The stitched buffer carries no
-     * per-shard CRC framing, so a configured fault injector is priced
-     * in expectation on this flow rather than sampled.
-     */
-    StatusOr<PrefetchResult> prefetch(const CompressedBuffer &buffer) const;
 
     /**
      * Prefetch a spilled buffer straight out of @p arena's shard slots
@@ -347,9 +350,13 @@ class TransferEngine
     // ---- Timing models ----
 
     /**
-     * The duplex race of two measured shard trains under this engine's
-     * configuration (bandwidths, staging depth, duplex mode, arbiter).
-     * Either train may be empty (single-direction degenerate case).
+     * Price two measured shard trains under this engine's configuration
+     * (bandwidths, staging depth, route, duplex modes, arbiter). Either
+     * train may be empty. Trains that cannot meet — one of them empty,
+     * or every edge of the route full duplex — go through
+     * uncontendedTiming(); both trains on a route with a half-duplex
+     * edge race in the DES (DuplexPipeline). Shard latencies land in
+     * the engine's metrics registry, if one is configured.
      */
     DuplexTiming duplexTiming(
         std::span<const ShardTransfer> offload_shards,
@@ -358,41 +365,12 @@ class TransferEngine
     /**
      * Analytic duplex model: both directions cut into uniform staging
      * shards (plus a trailing partial) at their known compression
-     * ratios, then raced through the duplex DES. Either direction may
-     * be empty (raw_bytes = 0).
+     * ratios (see shardTrain()), then priced by duplexTiming(). Either
+     * direction may be empty (raw_bytes = 0).
      */
     DuplexTiming modelFromRatio(uint64_t offload_raw, double offload_ratio,
                                 uint64_t prefetch_raw,
                                 double prefetch_ratio) const;
-
-    /**
-     * The core duplex DES: both double-buffered pipelines run on one
-     * event queue, wire transfers of both directions submitted to a
-     * DuplexChannel. Offload shard k's compression starts when the
-     * serial compression engine AND an offload staging buffer are free;
-     * its wire leg queues on Direction::Out. Prefetch shard k's wire
-     * leg (Direction::In) starts when a prefetch staging buffer is
-     * free; its expansion queues on the serial decompression engine.
-     * Under DuplexMode::Half both directions serialize on the link and
-     * @p arbiter breaks ties; under Full they never interact. The
-     * per-direction staging pools are independent (@p staging_buffers
-     * each).
-     *
-     * Retry pricing: a shard's wire leg carries its failed crossings
-     * too (wire_bytes + failed_wire_bytes on the link) plus the
-     * exponential backoff @p backoff_base_seconds * (2^(attempts-1) - 1)
-     * as extra latency — the retry sequence holds the shard's DMA
-     * transaction slot until it lands. Shards with attempts == 1 price
-     * exactly as before, which keeps the schedulers' closed forms
-     * pinned to this DES on fault-free trains.
-     */
-    static DuplexTiming pipelineTiming(
-        std::span<const ShardTransfer> offload_shards,
-        std::span<const ShardTransfer> prefetch_shards,
-        double compress_bandwidth, double wire_bandwidth,
-        double decompress_bandwidth, unsigned staging_buffers,
-        DuplexMode mode, LinkArbiter arbiter,
-        double backoff_base_seconds = 0.0);
 
     /**
      * Shard train of a raw_bytes transfer at ratio (uniform + tail).
@@ -426,118 +404,17 @@ class TransferEngine
         std::span<const ShardTransfer> shards);
 
   private:
-    DuplexTiming timingFor(std::span<const ShardTransfer> offload_shards,
-                           std::span<const ShardTransfer> prefetch_shards)
-        const;
-
     const CdmaEngine &engine_;
     uint64_t shard_windows_;
-};
-
-// ---------------------------------------------------------------------
-// Single-direction facades. Historically src/cdma/offload_scheduler.hh
-// and prefetch_scheduler.hh; folded in here so transfer planning is one
-// include. Each is the duplex TransferEngine viewed with the opposing
-// direction idle, plus the allocation-free closed form of its pipeline
-// (pinned against the duplex DES at 1e-9 by the scheduler tests).
-// ---------------------------------------------------------------------
-
-/**
- * Drives compression and models the double-buffered compress/transfer
- * pipeline for one cDMA engine (the offload-only view of the duplex
- * TransferEngine). For uniform shards (compression time c, wire time
- * w, n shards) the double-buffered makespan is n*max(c,w) + min(c,w);
- * modelFromRatio() extends that with the trailing-partial-shard and
- * single-staging-buffer cases.
- */
-class OffloadScheduler
-{
-  public:
-    explicit OffloadScheduler(const CdmaEngine &engine);
-
-    /** Windows per staging shard (>= 1), from TransferConfig::shard_bytes. */
-    uint64_t shardWindows() const { return engine_.shardWindows(); }
-
-    /** See TransferEngine::offload(). */
-    OffloadResult offload(std::span<const uint8_t> data) const;
-
-    /** See TransferEngine::offloadInto(). */
-    StatusOr<SpilledOffload> offloadInto(std::span<const uint8_t> data,
-                                         SpillArena &arena) const;
-
-    /**
-     * Pipeline timing for a transfer of @p raw_bytes at a known
-     * compression ratio: allocation-free closed form over uniform
-     * staging shards plus a trailing partial. For n uniform shards
-     * (compression time c, wire time w, tail c_t/w_t):
-     *
-     *   wire-bound  (w >= c): c + n*w + w_t
-     *   comp-bound  (c >  w): n*c + max(c_t, w) + w_t
-     *
-     * one staging buffer serializes fully; the duplex DES
-     * (TransferEngine::pipelineTiming) is the pinned reference.
-     */
-    OffloadTiming modelFromRatio(uint64_t raw_bytes, double ratio) const;
-
-    /**
-     * The single-direction pipeline reference: the duplex DES with the
-     * prefetch direction idle, routed over the degenerate two-node
-     * graph. Shard k's compression starts when the compression engine
-     * AND a staging buffer are free; its wire transfer starts when its
-     * compression ends and the channel is free (FIFO).
-     */
-    static OffloadTiming pipelineTiming(std::span<const ShardTransfer> shards,
-                                        double compress_bandwidth,
-                                        double wire_bandwidth,
-                                        unsigned staging_buffers = 2);
-
-  private:
-    TransferEngine engine_;
-};
-
-/**
- * Drives decompression and models the double-buffered transfer/expand
- * pipeline for one cDMA engine (the prefetch-only view of the duplex
- * TransferEngine) — OffloadScheduler's mirror image for the backward
- * pass, with the stages swapped: wire in, then the serial DPE expands
- * while the next shard crosses.
- */
-class PrefetchScheduler
-{
-  public:
-    explicit PrefetchScheduler(const CdmaEngine &engine);
-
-    /** Windows per staging shard (>= 1), from TransferConfig::shard_bytes. */
-    uint64_t shardWindows() const { return engine_.shardWindows(); }
-
-    /** See TransferEngine::prefetch(const CompressedBuffer &). */
-    StatusOr<PrefetchResult> prefetch(const CompressedBuffer &buffer) const;
-
-    /** See TransferEngine::prefetch(const SpillArena &, SpillTicket). */
-    StatusOr<PrefetchResult> prefetch(const SpillArena &arena,
-                                      SpillTicket ticket) const;
-
-    /**
-     * Closed-form prefetch timing of @p raw_bytes at @p ratio —
-     * OffloadScheduler::modelFromRatio with the stages swapped (wire
-     * first, then the serial decompression engine); pinned against the
-     * duplex DES at 1e-9 by the scheduler tests.
-     */
-    PrefetchTiming modelFromRatio(uint64_t raw_bytes, double ratio) const;
-
-    /**
-     * The single-direction pipeline reference: the duplex DES with the
-     * offload direction idle, routed over the degenerate two-node
-     * graph. Shard k's wire transfer starts when the (FIFO) channel
-     * AND a staging buffer are free; its decompression starts when its
-     * last wire byte lands and the serial engine is free.
-     */
-    static PrefetchTiming pipelineTiming(
-        std::span<const ShardTransfer> shards, double wire_bandwidth,
-        double decompress_bandwidth, unsigned staging_buffers = 2);
-
-  private:
-    TransferEngine engine_;
+    /** Stage bandwidths, staging depth and retry backoff of the
+     *  engine's pipelines. */
+    PipelineSpec spec_;
+    /** The configured graph, or the two-node GPU—host PCIe link. */
+    std::shared_ptr<const Topology> topology_;
+    /** GPU -> host route the offload leg takes (prefetch reverses it). */
+    Route route_;
+    /** Some edge of route_ is half duplex: two trains can contend. */
+    bool contended_route_ = false;
 };
 
 } // namespace cdma

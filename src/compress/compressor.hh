@@ -70,8 +70,8 @@ Codec codecFromName(const std::string &name);
  * Store-raw-floored wire bytes of a compressed window sequence: every
  * window transfers as min(compressed, raw) bytes, as a real engine with
  * a "stored" window mode would do. Shared by CompressedBuffer and the
- * offload scheduler's per-shard accounting so the fallback rule lives
- * in one place.
+ * transfer engine's per-shard accounting so the fallback rule lives in
+ * one place.
  */
 uint64_t storeRawFlooredBytes(const std::vector<uint32_t> &window_sizes,
                               uint64_t raw_bytes, uint64_t window_bytes);

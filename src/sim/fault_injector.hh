@@ -89,7 +89,7 @@ class FaultInjector
     FaultOutcome sample(uint64_t payload_bytes);
 
     /**
-     * Analytic companion for the closed-form path: expected number of
+     * Analytic companion for the planning path: expected number of
      * crossings (first try + retries, capped at @p max_attempts) for a
      * payload of @p payload_bytes, under the configured fault process.
      */

@@ -15,8 +15,7 @@
  *
  * The historical two-endpoint model is the degenerate two-node graph
  * (Topology::pcieLink): one edge, whose routed timeline reproduces a
- * direct DuplexChannel submission event for event — the pre-existing
- * closed-form pins hold at 1e-9 through this path.
+ * direct DuplexChannel submission event for event.
  */
 
 #ifndef CDMA_SIM_TOPOLOGY_HH
@@ -168,8 +167,8 @@ class Topology
     /**
      * The degenerate two-node graph the historical single-link model
      * is: one GPU, one host, one PCIe edge. TransferEngine builds this
-     * when no explicit topology is configured, which keeps every
-     * closed-form pin running through the graph path.
+     * when no explicit topology is configured, so every transfer is
+     * priced over a route.
      */
     static std::shared_ptr<const Topology>
     pcieLink(double bytes_per_second, DuplexMode mode = DuplexMode::Full,

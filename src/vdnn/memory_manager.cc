@@ -242,9 +242,9 @@ VdnnMemoryManager::footprint(const CdmaEngine &engine) const
     // The offload pipeline's staging shards live in GPU DRAM next to the
     // DMA unit (Section V-C); they are part of the virtualized working
     // set whenever a cDMA engine is attached.
-    const OffloadScheduler scheduler(engine);
     fp.staging_bytes = static_cast<uint64_t>(engine.config().transfer.staging_buffers) *
-        scheduler.shardWindows() * engine.config().compression.window_bytes;
+        TransferEngine(engine).shardWindows() *
+        engine.config().compression.window_bytes;
     fp.vdnn_peak += fp.staging_bytes;
     return fp;
 }

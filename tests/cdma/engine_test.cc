@@ -113,43 +113,5 @@ TEST(CdmaEngineDeathTest, RejectsSubUnityRatio)
     EXPECT_DEATH(engine.planFromRatio("bad", 100, 0.5), "store-raw");
 }
 
-// The flat config survives one release as a deprecated alias; this
-// pins its field-for-field conversion into the nested sub-structs.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(CdmaConfig, FlatAliasConvertsFieldForField)
-{
-    FlatCdmaConfig flat;
-    flat.algorithm = Algorithm::Rle;
-    flat.window_bytes = 8192;
-    flat.compression_enabled = false;
-    flat.compression_lanes = 4;
-    flat.timing_mode = TimingMode::Overlapped;
-    flat.shard_bytes = 1 << 20;
-    flat.staging_buffers = 3;
-    flat.duplex_mode = DuplexMode::Half;
-    flat.link_arbiter = LinkArbiter::PrefetchFirst;
-    flat.retry.max_attempts = 7;
-
-    const CdmaConfig config = flat;
-    EXPECT_EQ(config.compression.algorithm, Algorithm::Rle);
-    EXPECT_EQ(config.compression.window_bytes, 8192u);
-    EXPECT_FALSE(config.compression.enabled);
-    EXPECT_EQ(config.compression.lanes, 4u);
-    EXPECT_EQ(config.transfer.timing_mode, TimingMode::Overlapped);
-    EXPECT_EQ(config.transfer.shard_bytes, uint64_t{1} << 20);
-    EXPECT_EQ(config.transfer.staging_buffers, 3u);
-    EXPECT_EQ(config.transfer.duplex_mode, DuplexMode::Half);
-    EXPECT_EQ(config.transfer.link_arbiter, LinkArbiter::PrefetchFirst);
-    EXPECT_EQ(config.transfer.retry.max_attempts, 7u);
-    // No topology override: engines route the degenerate two-node graph.
-    EXPECT_EQ(config.topology.graph, nullptr);
-
-    // A converted config drives an engine like a hand-nested one.
-    const CdmaEngine engine{CdmaConfig(flat)};
-    EXPECT_EQ(engine.config().compression.algorithm, Algorithm::Rle);
-}
-#pragma GCC diagnostic pop
-
 } // namespace
 } // namespace cdma

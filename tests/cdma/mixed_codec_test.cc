@@ -108,26 +108,43 @@ TEST(MixedCodec, ShardTrainsRestoreAcrossLanesAndBackends)
     }
 }
 
-TEST(MixedCodec, OffloadOverrideTagsTheBuffer)
+/** Spill @p input with @p codec requested and return the tag every
+ *  stored shard carries (they must agree), after checking the map
+ *  restores. */
+Codec
+spilledCodec(const TransferEngine &transfers,
+             const std::vector<uint8_t> &input, Codec codec)
+{
+    SpillArena arena;
+    const SpillTicket ticket =
+        transfers.offloadInto(input, arena, codec).value().ticket;
+    const Codec tag = arena.shard(ticket, 0).codec;
+    for (size_t s = 1; s < arena.shardCount(ticket); ++s)
+        EXPECT_EQ(arena.shard(ticket, s).codec, tag) << "shard " << s;
+    const StatusOr<PrefetchResult> restored =
+        transfers.prefetch(arena, ticket);
+    EXPECT_TRUE(restored.ok()) << codecName(codec);
+    if (restored.ok()) {
+        EXPECT_EQ(restored->data, input) << codecName(codec);
+    }
+    arena.release(ticket);
+    return tag;
+}
+
+TEST(MixedCodec, OffloadOverrideTagsEveryShard)
 {
     CodecPolicyEngine policy;
     const CdmaEngine engine(adaptiveConfig(policy, 2));
     const TransferEngine transfers(engine);
-    const auto input = makeInput(0.4, 1 << 16, 7);
-    for (const Codec codec : kAllCodecs) {
-        const OffloadResult result = transfers.offload(input, codec);
-        EXPECT_EQ(result.buffer.codec, codec);
-        const StatusOr<PrefetchResult> restored =
-            transfers.prefetch(result.buffer);
-        ASSERT_TRUE(restored.ok()) << codecName(codec);
-        EXPECT_EQ(restored->data, input) << codecName(codec);
-    }
+    const auto input = makeInput(0.4, 1 << 18, 7);
+    for (const Codec codec : kAllCodecs)
+        EXPECT_EQ(spilledCodec(transfers, input, codec), codec);
 }
 
 TEST(MixedCodec, FixedEngineRoutesOverridesToItsOneCompressor)
 {
     // Pin the fallback contract: without an adaptive bank the override
-    // resolves to the engine's configured compressor, and the buffer's
+    // resolves to the engine's configured compressor, and the shards'
     // tag says what actually ran — never the ignored request.
     CdmaConfig config;
     config.compression.lanes = 2;
@@ -135,12 +152,7 @@ TEST(MixedCodec, FixedEngineRoutesOverridesToItsOneCompressor)
     const CdmaEngine engine(config);
     const TransferEngine transfers(engine);
     const auto input = makeInput(0.4, 1 << 16, 9);
-    const OffloadResult result = transfers.offload(input, Codec::Rle);
-    EXPECT_EQ(result.buffer.codec, Codec::Zvc);
-    const StatusOr<PrefetchResult> restored =
-        transfers.prefetch(result.buffer);
-    ASSERT_TRUE(restored.ok());
-    EXPECT_EQ(restored->data, input);
+    EXPECT_EQ(spilledCodec(transfers, input, Codec::Rle), Codec::Zvc);
 }
 
 TEST(MixedCodec, AdaptiveEngineRoundTripsWhatThePolicyPicks)

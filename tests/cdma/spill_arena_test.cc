@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for the compressed spill arena: round-trip identity through
- * store/materialize and through the offloadInto/prefetch streaming
- * path on every codec, slot recycling across simulated iterations
- * (slab allocation must plateau after the first), high-water-mark
- * accounting, and ticket lifecycle.
+ * the offloadInto/prefetch streaming path on every codec, slot
+ * recycling across simulated iterations (slab allocation must plateau
+ * after the first), high-water-mark accounting, and ticket lifecycle.
  */
 
 #include <algorithm>
@@ -50,10 +49,13 @@ makeEngine(Algorithm algorithm = Algorithm::Zvc, unsigned lanes = 2)
     return CdmaEngine(config);
 }
 
-TEST(SpillArena, StoreAndMaterializeRoundTripsEveryCodec)
+TEST(SpillArena, OffloadIntoRoundTripsEveryCodec)
 {
+    // The arena holds exactly the stitched buffer's bytes, cut into
+    // shards, and the prefetch restores the map.
     for (const Algorithm algorithm : kAllAlgorithms) {
         const CdmaEngine engine = makeEngine(algorithm);
+        const TransferEngine transfers(engine);
         const size_t bytes =
             algorithm == Algorithm::Zlib ? 16384 + 5 : (1 << 18) + 37;
         const auto input = makeInput(0.5, bytes, 61);
@@ -61,58 +63,16 @@ TEST(SpillArena, StoreAndMaterializeRoundTripsEveryCodec)
             engine.compressor().compress(input);
 
         SpillArena arena;
-        const SpillTicket ticket = arena.store(compressed, 5);
+        const SpillTicket ticket =
+            transfers.offloadInto(input, arena).value().ticket;
         EXPECT_EQ(arena.originalBytes(ticket), input.size());
         EXPECT_EQ(arena.windowBytes(ticket), compressed.window_bytes);
         EXPECT_EQ(arena.wireBytes(ticket), compressed.effectiveBytes());
         EXPECT_EQ(arena.payloadBytes(ticket), compressed.payload.size());
-
-        const CompressedBuffer back = arena.materialize(ticket);
-        EXPECT_EQ(back.payload, compressed.payload);
-        EXPECT_EQ(back.window_sizes, compressed.window_sizes);
-        EXPECT_EQ(engine.compressor().decompress(back).value(), input)
+        EXPECT_EQ(transfers.prefetch(arena, ticket).value().data, input)
             << algorithmName(algorithm);
         arena.release(ticket);
     }
-}
-
-TEST(SpillArena, OffloadIntoMatchesTheStitchedOffload)
-{
-    const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
-    const auto input = makeInput(0.4, (1 << 20) + 123, 71);
-
-    SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto(input, arena).value();
-    const OffloadResult reference = scheduler.offload(input);
-
-    // Identical shard trains and identical modeled timing.
-    ASSERT_EQ(spilled.shards.size(), reference.shards.size());
-    for (size_t i = 0; i < spilled.shards.size(); ++i) {
-        EXPECT_EQ(spilled.shards[i].raw_bytes,
-                  reference.shards[i].raw_bytes);
-        EXPECT_EQ(spilled.shards[i].wire_bytes,
-                  reference.shards[i].wire_bytes);
-    }
-    EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds,
-                     reference.timing.overlapped_seconds);
-    EXPECT_EQ(arena.shardCount(spilled.ticket),
-              reference.shards.size());
-    EXPECT_EQ(arena.wireBytes(spilled.ticket),
-              reference.buffer.effectiveBytes());
-
-    // The arena prefetch restores the original and models the mirrored
-    // pipeline over the same shard train.
-    const PrefetchResult restored =
-        prefetcher.prefetch(arena, spilled.ticket).value();
-    EXPECT_EQ(restored.data, input);
-    const PrefetchResult via_buffer =
-        prefetcher.prefetch(reference.buffer).value();
-    EXPECT_EQ(via_buffer.data, input);
-    EXPECT_DOUBLE_EQ(restored.timing.overlapped_seconds,
-                     via_buffer.timing.overlapped_seconds);
-    arena.release(spilled.ticket);
 }
 
 TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
@@ -121,8 +81,7 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
     // slabs; every later iteration must be served entirely from
     // recycled slots and recycled tickets.
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
 
     std::vector<std::vector<uint8_t>> layers;
@@ -136,10 +95,10 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
         std::vector<SpillTicket> tickets;
         for (const auto &layer : layers)
             tickets.push_back(
-                scheduler.offloadInto(layer, arena)->ticket);
+                transfers.offloadInto(layer, arena)->ticket);
         for (size_t i = tickets.size(); i-- > 0;) {
             const PrefetchResult restored =
-                prefetcher.prefetch(arena, tickets[i]).value();
+                transfers.prefetch(arena, tickets[i]).value();
             EXPECT_EQ(restored.data, layers[i])
                 << "iteration " << iteration << " layer " << i;
             arena.release(tickets[i]);
@@ -165,14 +124,14 @@ TEST(SpillArena, SlotRecyclingPlateausAfterTheFirstIteration)
 TEST(SpillArena, HighWaterTracksConcurrentResidency)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
     const auto a = makeInput(0.5, 300 * 1024, 11);
     const auto b = makeInput(0.5, 300 * 1024, 13);
 
-    const SpillTicket ta = scheduler.offloadInto(a, arena)->ticket;
+    const SpillTicket ta = transfers.offloadInto(a, arena)->ticket;
     const uint64_t one = arena.stats().live_payload_bytes;
-    const SpillTicket tb = scheduler.offloadInto(b, arena)->ticket;
+    const SpillTicket tb = transfers.offloadInto(b, arena)->ticket;
     const uint64_t both = arena.stats().live_payload_bytes;
     EXPECT_GT(both, one);
     EXPECT_EQ(arena.stats().high_water_payload_bytes, both);
@@ -181,7 +140,7 @@ TEST(SpillArena, HighWaterTracksConcurrentResidency)
     // past the two-buffer peak (slots are recycled, residency is the
     // same).
     arena.release(ta);
-    const SpillTicket tc = scheduler.offloadInto(a, arena)->ticket;
+    const SpillTicket tc = transfers.offloadInto(a, arena)->ticket;
     EXPECT_EQ(arena.stats().high_water_payload_bytes, both);
     arena.release(tb);
     arena.release(tc);
@@ -191,10 +150,10 @@ TEST(SpillArena, HighWaterTracksConcurrentResidency)
 TEST(SpillArena, ShardViewsExposeTheStoredFraming)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
+    const TransferEngine transfers(engine);
     const auto input = makeInput(0.5, (1 << 19) + 37, 83);
     SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto(input, arena).value();
+    const SpilledOffload spilled = transfers.offloadInto(input, arena).value();
     const CompressedBuffer reference =
         engine.compressor().compress(input);
 
@@ -223,16 +182,19 @@ TEST(SpillArena, ShardViewsExposeTheStoredFraming)
 TEST(SpillArena, EmptyBufferSpills)
 {
     const CdmaEngine engine = makeEngine();
-    const OffloadScheduler scheduler(engine);
-    const PrefetchScheduler prefetcher(engine);
+    const TransferEngine transfers(engine);
     SpillArena arena;
-    const SpilledOffload spilled = scheduler.offloadInto({}, arena).value();
+    const SpilledOffload spilled = transfers.offloadInto({}, arena).value();
     EXPECT_EQ(arena.shardCount(spilled.ticket), 0u);
     EXPECT_EQ(arena.originalBytes(spilled.ticket), 0u);
+    EXPECT_EQ(spilled.timing.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(spilled.timing.overlap_fraction, 0.0);
     const PrefetchResult restored =
-        prefetcher.prefetch(arena, spilled.ticket).value();
+        transfers.prefetch(arena, spilled.ticket).value();
     EXPECT_TRUE(restored.data.empty());
     EXPECT_EQ(restored.timing.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(restored.timing.overlapped_seconds, 0.0);
     arena.release(spilled.ticket);
     EXPECT_EQ(arena.stats().live_buffers, 0u);
 }

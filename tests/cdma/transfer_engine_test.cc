@@ -1,12 +1,11 @@
 /**
  * @file
- * Tests for the unified full-duplex TransferEngine: conservation and
- * degeneracy properties of the duplex DES (one direction idle must
- * reproduce the single-direction closed forms at 1e-9), arbiter
- * fairness under symmetric load, half-vs-full duplex contention,
- * byte-identity of spill-arena round trips through the unified ticket
- * flow at 1/2/8 lanes, and the contended surfaces on TransferPlan,
- * VdnnMemoryManager::duplexSchedule and the step simulator.
+ * Tests for the unified full-duplex TransferEngine: byte-identity of
+ * spill-arena round trips through the ticket flow across shard and lane
+ * shapes (one window, shards vs lanes in both directions, 1/2/8 lanes,
+ * repeats), the routes it prices (an edgeless route, a graph's
+ * half-duplex edge), and the pipeline surfaces on TransferPlan,
+ * VdnnMemoryManager and the step simulator.
  */
 
 #include <algorithm>
@@ -45,243 +44,159 @@ makeInput(double density, size_t bytes, uint64_t seed)
 
 CdmaEngine
 makeEngine(unsigned lanes, DuplexMode mode = DuplexMode::Full,
-           LinkArbiter arbiter = LinkArbiter::RoundRobin)
+           LinkArbiter arbiter = LinkArbiter::RoundRobin,
+           uint64_t shard_bytes = 0)
 {
     CdmaConfig config;
     config.compression.lanes = lanes;
     config.transfer.timing_mode = TimingMode::Overlapped;
     config.transfer.duplex_mode = mode;
     config.transfer.link_arbiter = arbiter;
+    config.transfer.shard_bytes = shard_bytes;
     return CdmaEngine(config);
 }
 
-/** Mixed shard train for the DES property sweeps. */
-std::vector<ShardTransfer>
-makeShards(size_t n, uint64_t seed)
+/** Bytes @p data compresses to under @p engine's serial codec. */
+CompressedBuffer
+serialCompress(const CdmaEngine &engine, std::span<const uint8_t> data)
 {
-    Rng rng(seed);
-    std::vector<ShardTransfer> shards;
-    for (size_t i = 0; i < n; ++i) {
-        const uint64_t raw = 4096 + 4096 * rng.uniformInt(16);
-        shards.push_back({raw, raw / (1 + rng.uniformInt(8))});
-    }
-    return shards;
+    return engine.compressor().serial().compress(data);
 }
 
-TEST(DuplexPipeline, IdlePrefetchDirectionReducesToOffloadClosedForm)
+/** Round-trip @p input through @p transfers and @p arena, checking the
+ *  restored bytes and that the prefetch prices the offload's train. */
+SpilledOffload
+roundTrip(const TransferEngine &transfers, SpillArena &arena,
+          const std::vector<uint8_t> &input)
 {
-    // The duplex DES with the opposing direction empty must reproduce
-    // the single-direction closed forms (the degenerate case the
-    // direction schedulers keep) to 1e-9 — under both duplex modes and
-    // every arbiter, none of which may matter with one direction idle.
-    CdmaConfig config;
-    config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine engine(config);
+    const SpilledOffload spilled =
+        transfers.offloadInto(input, arena).value();
+    const PrefetchResult restored =
+        transfers.prefetch(arena, spilled.ticket).value();
+    EXPECT_EQ(restored.data, ByteVec(input.begin(), input.end()));
+    EXPECT_EQ(restored.shards.size(), spilled.shards.size());
+    for (size_t i = 0; i < restored.shards.size(); ++i) {
+        EXPECT_EQ(restored.shards[i].raw_bytes,
+                  spilled.shards[i].raw_bytes);
+        EXPECT_EQ(restored.shards[i].wire_bytes,
+                  spilled.shards[i].wire_bytes);
+    }
+    EXPECT_EQ(restored.timing.overlapped_seconds,
+              transfers.duplexTiming({}, spilled.shards)
+                  .prefetch.overlapped_seconds);
+    return spilled;
+}
+
+TEST(TransferEngine, SingleWindowSpillHasNoOverlap)
+{
+    const CdmaEngine engine = makeEngine(4);
     const TransferEngine transfers(engine);
-    const OffloadScheduler offload(engine);
-    const PrefetchScheduler prefetch(engine);
-    const uint64_t shard_raw =
-        transfers.shardWindows() * config.compression.window_bytes;
+    const auto input = makeInput(0.5, 1000, 17);
+    SpillArena arena;
+    const SpilledOffload spilled = roundTrip(transfers, arena, input);
+    ASSERT_EQ(spilled.shards.size(), 1u);
+    EXPECT_EQ(spilled.shards[0].raw_bytes, input.size());
+    EXPECT_EQ(spilled.shards[0].wire_bytes,
+              serialCompress(engine, input).effectiveBytes());
+    EXPECT_DOUBLE_EQ(spilled.timing.overlap_fraction, 0.0);
+    EXPECT_EQ(arena.shard(spilled.ticket, 0).payload.size(),
+              serialCompress(engine, input).payload.size());
+    arena.release(spilled.ticket);
+}
 
-    for (const double ratio : {1.0, 2.5, 12.5, 40.0}) {
-        for (const uint64_t raw :
-             {shard_raw / 2, shard_raw, 3 * shard_raw,
-              7 * shard_raw + shard_raw / 3, 64 * shard_raw + 4097}) {
-            const DuplexTiming off_only =
-                transfers.modelFromRatio(raw, ratio, 0, 1.0);
-            const OffloadTiming off_closed =
-                offload.modelFromRatio(raw, ratio);
-            EXPECT_EQ(off_only.offload.shard_count,
-                      off_closed.shard_count);
-            EXPECT_NEAR(off_only.offload.overlapped_seconds,
-                        off_closed.overlapped_seconds,
-                        1e-9 * off_closed.overlapped_seconds)
-                << "raw=" << raw << " ratio=" << ratio;
-            EXPECT_NEAR(off_only.offload.compress_seconds,
-                        off_closed.compress_seconds,
-                        1e-9 * off_closed.compress_seconds);
-            EXPECT_NEAR(off_only.offload.wire_seconds,
-                        off_closed.wire_seconds,
-                        1e-9 * std::max(off_closed.wire_seconds, 1e-30));
-            EXPECT_DOUBLE_EQ(off_only.contentionSeconds(), 0.0);
-            EXPECT_DOUBLE_EQ(off_only.makespan_seconds,
-                             off_only.offload.overlapped_seconds);
-            // Idle prefetch direction reports an empty pipeline.
-            EXPECT_EQ(off_only.prefetch.shard_count, 0u);
-            EXPECT_DOUBLE_EQ(off_only.prefetch.overlapped_seconds, 0.0);
+TEST(TransferEngine, MoreLanesThanShardsRoundTrips)
+{
+    // 8 lanes, 3 single-window shards: most lanes idle, identity and
+    // timing must still hold.
+    const CdmaEngine engine =
+        makeEngine(8, DuplexMode::Full, LinkArbiter::RoundRobin, 4096);
+    const TransferEngine transfers(engine);
+    EXPECT_EQ(transfers.shardWindows(), 1u);
+    const auto input = makeInput(0.5, 3 * 4096, 31);
+    SpillArena arena;
+    const SpilledOffload spilled = roundTrip(transfers, arena, input);
+    ASSERT_EQ(spilled.shards.size(), 3u);
+    EXPECT_EQ(arena.wireBytes(spilled.ticket),
+              serialCompress(engine, input).effectiveBytes());
+    EXPECT_GT(spilled.timing.overlap_fraction, 0.0);
+    arena.release(spilled.ticket);
+}
 
-            const DuplexTiming pre_only =
-                transfers.modelFromRatio(0, 1.0, raw, ratio);
-            const PrefetchTiming pre_closed =
-                prefetch.modelFromRatio(raw, ratio);
-            EXPECT_EQ(pre_only.prefetch.shard_count,
-                      pre_closed.shard_count);
-            EXPECT_NEAR(pre_only.prefetch.overlapped_seconds,
-                        pre_closed.overlapped_seconds,
-                        1e-9 * pre_closed.overlapped_seconds)
-                << "raw=" << raw << " ratio=" << ratio;
-            EXPECT_NEAR(pre_only.prefetch.wire_seconds,
-                        pre_closed.wire_seconds,
-                        1e-9 * std::max(pre_closed.wire_seconds, 1e-30));
-            EXPECT_NEAR(pre_only.prefetch.decompress_seconds,
-                        pre_closed.decompress_seconds,
-                        1e-9 * pre_closed.decompress_seconds);
-            EXPECT_DOUBLE_EQ(pre_only.contentionSeconds(), 0.0);
-            EXPECT_EQ(pre_only.offload.shard_count, 0u);
-        }
+TEST(TransferEngine, RepeatSpillIsDeterministic)
+{
+    // Two spills of the same map store the same bytes and price the
+    // same timing, whatever order the lanes finish shards in.
+    const CdmaEngine engine = makeEngine(0); // all hardware threads
+    const TransferEngine transfers(engine);
+    const auto input = makeInput(0.5, (1 << 20) + 4096, 41);
+    SpillArena arena;
+    const SpilledOffload a = roundTrip(transfers, arena, input);
+    const SpilledOffload b = roundTrip(transfers, arena, input);
+    EXPECT_EQ(a.timing.overlapped_seconds, b.timing.overlapped_seconds);
+    EXPECT_EQ(a.timing.compress_seconds, b.timing.compress_seconds);
+    EXPECT_EQ(a.timing.wire_seconds, b.timing.wire_seconds);
+    EXPECT_EQ(a.timing.overlap_fraction, b.timing.overlap_fraction);
+    ASSERT_EQ(arena.shardCount(a.ticket), arena.shardCount(b.ticket));
+    for (size_t s = 0; s < arena.shardCount(a.ticket); ++s) {
+        const SpillShardView x = arena.shard(a.ticket, s);
+        const SpillShardView y = arena.shard(b.ticket, s);
+        EXPECT_TRUE(std::equal(x.payload.begin(), x.payload.end(),
+                               y.payload.begin(), y.payload.end()))
+            << "shard " << s;
     }
-}
-
-TEST(DuplexPipeline, ConservationBusyTimeBoundedByMakespan)
-{
-    // Sum of per-direction wire busy time never exceeds the duplex
-    // makespan times the number of directions — and under half duplex
-    // (one shared link) it is bounded by the makespan alone.
-    for (const DuplexMode mode : {DuplexMode::Half, DuplexMode::Full}) {
-        for (const unsigned buffers : {1u, 2u, 3u}) {
-            for (const uint64_t seed : {1ull, 2ull, 3ull}) {
-                const auto off_shards = makeShards(17, seed);
-                const auto pre_shards = makeShards(23, seed + 100);
-                const DuplexTiming timing =
-                    TransferEngine::pipelineTiming(
-                        off_shards, pre_shards, 200e9, 12.8e9, 200e9,
-                        buffers, mode, LinkArbiter::RoundRobin);
-                const double wire_busy = timing.offload.wire_seconds +
-                    timing.prefetch.wire_seconds;
-                if (mode == DuplexMode::Half) {
-                    EXPECT_LE(wire_busy,
-                              timing.makespan_seconds + 1e-12);
-                } else {
-                    EXPECT_LE(wire_busy,
-                              2.0 * timing.makespan_seconds + 1e-12);
-                }
-                // Each direction's makespan bounds the duplex makespan
-                // from below and is itself at least its busy legs' max.
-                EXPECT_GE(timing.makespan_seconds,
-                          timing.offload.overlapped_seconds - 1e-12);
-                EXPECT_GE(timing.makespan_seconds,
-                          timing.prefetch.overlapped_seconds - 1e-12);
-                // Contention only exists on a shared link.
-                if (mode == DuplexMode::Full) {
-                    EXPECT_DOUBLE_EQ(timing.contentionSeconds(), 0.0);
-                }
-            }
-        }
-    }
-}
-
-TEST(DuplexPipeline, HalfDuplexContendsAndFullDuplexDoesNot)
-{
-    // Identical symmetric trains in both directions, wire-bound so the
-    // link is the bottleneck: under half duplex each direction must be
-    // slower than it would be alone and report nonzero contention;
-    // under full duplex both match the single-direction timelines
-    // exactly.
-    const uint64_t raw = 1 << 20;
-    const std::vector<ShardTransfer> train(
-        16, {raw, static_cast<uint64_t>(raw / 2.5)});
-
-    const DuplexTiming alone = TransferEngine::pipelineTiming(
-        train, {}, 200e9, 12.8e9, 200e9, 2, DuplexMode::Half,
-        LinkArbiter::RoundRobin);
-    const DuplexTiming full = TransferEngine::pipelineTiming(
-        train, train, 200e9, 12.8e9, 200e9, 2, DuplexMode::Full,
-        LinkArbiter::RoundRobin);
-    const DuplexTiming half = TransferEngine::pipelineTiming(
-        train, train, 200e9, 12.8e9, 200e9, 2, DuplexMode::Half,
-        LinkArbiter::RoundRobin);
-
-    EXPECT_DOUBLE_EQ(full.offload.overlapped_seconds,
-                     alone.offload.overlapped_seconds);
-    EXPECT_DOUBLE_EQ(full.contentionSeconds(), 0.0);
-
-    EXPECT_GT(half.offload.overlapped_seconds,
-              alone.offload.overlapped_seconds);
-    EXPECT_GT(half.contentionSeconds(), 0.0);
-    EXPECT_GT(half.contentionStallFraction(), 0.0);
-    EXPECT_LE(half.contentionStallFraction(), 1.0);
-    // A shared wire-bound link serving two equal trains takes about
-    // twice as long as either train alone.
-    EXPECT_GT(half.makespan_seconds,
-              1.8 * alone.offload.overlapped_seconds);
-}
-
-TEST(DuplexPipeline, RoundRobinIsFairUnderSymmetricLoad)
-{
-    // Equal trains in both directions under round-robin: the two
-    // directions' makespans and contention shares must come out (near)
-    // symmetric — neither direction starves.
-    const uint64_t raw = 1 << 20;
-    const std::vector<ShardTransfer> train(
-        12, {raw, static_cast<uint64_t>(raw / 3.0)});
-    const DuplexTiming timing = TransferEngine::pipelineTiming(
-        train, train, 200e9, 12.8e9, 200e9, 2, DuplexMode::Half,
-        LinkArbiter::RoundRobin);
-
-    const double off = timing.offload.overlapped_seconds;
-    const double pre = timing.prefetch.overlapped_seconds;
-    EXPECT_NEAR(off, pre, 0.10 * std::max(off, pre));
-    // Both directions pay contention, in comparable shares (a transfer
-    // can wait out several opposing grants, so the per-direction sums
-    // are bounded by the race's length, not the opposing wire total).
-    EXPECT_GT(timing.offload_contention_seconds, 0.0);
-    EXPECT_GT(timing.prefetch_contention_seconds, 0.0);
-    EXPECT_NEAR(timing.offload_contention_seconds,
-                timing.prefetch_contention_seconds,
-                0.25 * std::max(timing.offload_contention_seconds,
-                                timing.prefetch_contention_seconds));
-}
-
-TEST(DuplexPipeline, PriorityArbiterFavorsItsDirection)
-{
-    const uint64_t raw = 1 << 20;
-    const std::vector<ShardTransfer> train(
-        12, {raw, static_cast<uint64_t>(raw / 3.0)});
-    const DuplexTiming off_first = TransferEngine::pipelineTiming(
-        train, train, 200e9, 12.8e9, 200e9, 2, DuplexMode::Half,
-        LinkArbiter::OffloadFirst);
-    const DuplexTiming pre_first = TransferEngine::pipelineTiming(
-        train, train, 200e9, 12.8e9, 200e9, 2, DuplexMode::Half,
-        LinkArbiter::PrefetchFirst);
-    // The favored direction finishes earlier than it does when the
-    // other direction is favored.
-    EXPECT_LT(off_first.offload.overlapped_seconds,
-              pre_first.offload.overlapped_seconds);
-    EXPECT_LT(pre_first.prefetch.overlapped_seconds,
-              off_first.prefetch.overlapped_seconds);
+    arena.release(a.ticket);
+    arena.release(b.ticket);
 }
 
 TEST(TransferEngine, SpillArenaRoundTripsByteIdenticalAcrossLanes)
 {
     // The unified ticket flow (offloadInto -> prefetch(arena, ticket))
-    // must restore byte-identical data at 1/2/8 compression lanes, and
-    // the restored bytes and shard trains must not depend on lane
-    // count.
+    // must restore byte-identical data at 1/2/8 compression lanes, with
+    // more shards than lanes, and the shard trains and their timing
+    // must not depend on lane count.
     const auto input = makeInput(0.4, (1 << 20) + 123, 929);
-    std::vector<ByteVec> restored;
+    std::vector<SpilledOffload> spills;
     for (const unsigned lanes : {1u, 2u, 8u}) {
         const CdmaEngine engine = makeEngine(lanes);
         const TransferEngine transfers(engine);
         SpillArena arena;
-        const SpilledOffload spilled =
-            transfers.offloadInto(input, arena).value();
-        const PrefetchResult result =
-            transfers.prefetch(arena, spilled.ticket).value();
-        EXPECT_EQ(result.data,
-                  ByteVec(input.begin(), input.end()))
-            << lanes << " lanes";
-        ASSERT_EQ(result.shards.size(), spilled.shards.size());
-        for (size_t i = 0; i < result.shards.size(); ++i) {
-            EXPECT_EQ(result.shards[i].raw_bytes,
-                      spilled.shards[i].raw_bytes);
-            EXPECT_EQ(result.shards[i].wire_bytes,
-                      spilled.shards[i].wire_bytes);
-        }
-        arena.release(spilled.ticket);
-        restored.push_back(result.data);
+        spills.push_back(roundTrip(transfers, arena, input));
+        EXPECT_GT(spills.back().shards.size(), size_t{lanes});
+        arena.release(spills.back().ticket);
     }
-    EXPECT_EQ(restored[0], restored[1]);
-    EXPECT_EQ(restored[0], restored[2]);
+    for (const SpilledOffload &spilled : spills) {
+        ASSERT_EQ(spilled.shards.size(), spills[0].shards.size());
+        for (size_t i = 0; i < spilled.shards.size(); ++i) {
+            EXPECT_EQ(spilled.shards[i].wire_bytes,
+                      spills[0].shards[i].wire_bytes);
+        }
+        EXPECT_EQ(spilled.timing.overlapped_seconds,
+                  spills[0].timing.overlapped_seconds);
+    }
+}
+
+TEST(TransferEngine, ArenaFlowsRunOnAnEdgelessRoute)
+{
+    // GPU and host on one node: the route has no edge, so the wire legs
+    // cost nothing but any retry backoff, and both flows still work.
+    CdmaConfig config;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    config.topology.graph = Topology::pcieLink(12.8e9);
+    config.topology.gpu_node = 0;
+    config.topology.host_node = 0;
+    const CdmaEngine engine(config);
+    const TransferEngine transfers(engine);
+    const auto input = makeInput(0.4, 1 << 20, 12);
+    SpillArena arena;
+    const SpilledOffload spilled = roundTrip(transfers, arena, input);
+    EXPECT_GT(spilled.shards.size(), 1u);
+    EXPECT_DOUBLE_EQ(spilled.timing.wire_seconds, 0.0);
+    EXPECT_DOUBLE_EQ(spilled.timing.overlapped_seconds,
+                     spilled.timing.compress_seconds);
+    const DuplexTiming race =
+        transfers.duplexTiming(spilled.shards, spilled.shards);
+    EXPECT_DOUBLE_EQ(race.contentionSeconds(), 0.0);
+    arena.release(spilled.ticket);
 }
 
 TEST(TransferEngine, FullDuplexStepRacesOffloadAgainstPrefetch)
@@ -328,8 +243,6 @@ TEST(CdmaEngine, PlansCarryDuplexTiming)
     const CdmaEngine full = makeEngine(1, DuplexMode::Full);
     const TransferPlan full_plan = full.planFromRatio("map", raw, 2.5);
     EXPECT_GT(full_plan.duplex.offload.shard_count, 0u);
-    // The duplex DES against the schedulers' closed forms: 1e-9, the
-    // same pin the degenerate-direction tests use.
     EXPECT_NEAR(full_plan.duplex.offload.overlapped_seconds,
                 full_plan.offload.overlapped_seconds,
                 1e-9 * full_plan.offload.overlapped_seconds);
@@ -364,6 +277,210 @@ TEST(CdmaEngine, PlansCarryDuplexTiming)
     EXPECT_DOUBLE_EQ(free_plan.duplex.makespan_seconds, 0.0);
 }
 
+TEST(CdmaEngine, PlanDuplexFollowsTheGraphsHalfDuplexEdge)
+{
+    // A configured graph's per-edge mode decides the race, not
+    // TransferConfig::duplex_mode (left at Full here): one half-duplex
+    // edge makes the plan's offload and prefetch contend.
+    auto graph = std::make_shared<Topology>();
+    const NodeId gpu = graph->addNode(NodeKind::Gpu, "gpu0");
+    const NodeId host = graph->addNode(NodeKind::HostDram, "host");
+    graph->connect(gpu, host, "pcie",
+                   {16e9, DuplexMode::Half, LinkArbiter::RoundRobin});
+    CdmaConfig config;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    config.topology.graph = graph;
+    config.topology.gpu_node = gpu;
+    config.topology.host_node = host;
+    const CdmaEngine engine(config);
+
+    const uint64_t raw = 64ull << 20;
+    const TransferPlan plan = engine.planFromRatio("map", raw, 2.5);
+    const DuplexTiming race =
+        TransferEngine(engine).modelFromRatio(raw, 2.5, raw, 2.5);
+    EXPECT_GT(plan.duplex.contentionSeconds(), 0.0);
+    EXPECT_DOUBLE_EQ(plan.duplex.makespan_seconds, race.makespan_seconds);
+    EXPECT_DOUBLE_EQ(plan.duplex.contentionSeconds(),
+                     race.contentionSeconds());
+    EXPECT_GT(plan.duplex.makespan_seconds,
+              std::max(plan.offload.overlapped_seconds,
+                       plan.prefetch.overlapped_seconds));
+}
+
+TEST(CdmaEngine, OverlappedModeTimesPlansThroughThePipeline)
+{
+    const CdmaEngine overlapped = makeEngine(2);
+    CdmaConfig free_config;
+    free_config.compression.lanes = 2;
+    const CdmaEngine free_engine(free_config);
+
+    const uint64_t raw = 64ull << 20;
+    const TransferPlan a = overlapped.planFromRatio("map", raw, 2.5);
+    const TransferPlan b = free_engine.planFromRatio("map", raw, 2.5);
+
+    EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+    EXPECT_DOUBLE_EQ(a.seconds, a.offload.overlapped_seconds);
+    EXPECT_GT(a.offload.shard_count, 1u);
+    EXPECT_GT(a.offload.overlap_fraction, 0.0);
+    EXPECT_LE(a.offload.overlap_fraction, 1.0);
+    // CompressionFree keeps the seed model: no pipeline breakdown.
+    EXPECT_EQ(b.offload.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(b.offload.overlapped_seconds, 0.0);
+    // Overlapped includes the compression fill, so it can only be
+    // slower than a model that prices compression at zero — and by at
+    // most the compression leg.
+    EXPECT_GE(a.seconds, b.seconds);
+    EXPECT_LE(a.seconds, b.seconds + a.offload.compress_seconds + 1e-12);
+
+    // The plan prices the same train the engine's analytic model does.
+    const OffloadTiming direct =
+        TransferEngine(overlapped).modelFromRatio(raw, 2.5, 0, 1.0).offload;
+    EXPECT_DOUBLE_EQ(a.offload.overlapped_seconds,
+                     direct.overlapped_seconds);
+}
+
+TEST(CdmaEngine, DisabledCompressionBypassesThePipelineModel)
+{
+    // No cDMA engine in the path means no compression-fetch leg: a
+    // disabled-compression engine must keep plain DMA occupancy even in
+    // Overlapped mode.
+    CdmaConfig config;
+    config.compression.enabled = false;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    const CdmaEngine engine(config);
+    const uint64_t raw = 32ull << 20;
+    const TransferPlan plan = engine.planFromRatio("raw", raw, 3.0);
+    EXPECT_EQ(plan.wire_bytes, raw);
+    EXPECT_DOUBLE_EQ(plan.seconds, engine.transferSeconds(raw, 1.0));
+    EXPECT_EQ(plan.offload.shard_count, 0u);
+    EXPECT_EQ(plan.prefetch.shard_count, 0u);
+}
+
+TEST(CdmaEngine, OverlappedPlanTransferUsesMeasuredShardSizes)
+{
+    const CdmaEngine engine = makeEngine(4);
+    const auto input = makeInput(0.25, (1 << 20), 47);
+    const TransferPlan plan = engine.planTransfer("real", input);
+    const CompressedBuffer reference = serialCompress(engine, input);
+    EXPECT_EQ(plan.wire_bytes, reference.effectiveBytes());
+    EXPECT_DOUBLE_EQ(plan.ratio, reference.effectiveRatio());
+    EXPECT_DOUBLE_EQ(plan.seconds, plan.offload.overlapped_seconds);
+    EXPECT_GT(plan.offload.overlap_fraction, 0.0);
+}
+
+TEST(CdmaEngine, OverlappedPlansCarryBothPipelineDirections)
+{
+    const CdmaEngine engine = makeEngine(2);
+    const TransferEngine transfers(engine);
+    // Exact multiple of the staging shard: a uniform train, where the
+    // mirrored pipelines' makespans coincide exactly (a partial tail
+    // breaks the symmetry by one sub-shard fill).
+    const uint64_t shard_raw = transfers.shardWindows() *
+        engine.config().compression.window_bytes;
+    const uint64_t raw = 96 * shard_raw;
+    const TransferPlan plan = engine.planFromRatio("map", raw, 2.5);
+
+    EXPECT_GT(plan.prefetch.shard_count, 1u);
+    EXPECT_EQ(plan.prefetch.shard_count, plan.offload.shard_count);
+    EXPECT_GT(plan.prefetch.overlap_fraction, 0.0);
+    EXPECT_LE(plan.prefetch.overlap_fraction, 1.0);
+    // Same shards, mirrored stages: leg totals swap roles.
+    EXPECT_NEAR(plan.prefetch.wire_seconds, plan.offload.wire_seconds,
+                1e-12);
+    EXPECT_NEAR(plan.prefetch.decompress_seconds,
+                plan.offload.compress_seconds, 1e-12);
+    EXPECT_NEAR(plan.prefetch.overlapped_seconds,
+                plan.offload.overlapped_seconds,
+                1e-9 * plan.offload.overlapped_seconds);
+    const PrefetchTiming direct =
+        transfers.modelFromRatio(0, 1.0, raw, 2.5).prefetch;
+    EXPECT_DOUBLE_EQ(plan.prefetch.overlapped_seconds,
+                     direct.overlapped_seconds);
+
+    // Real-bytes planning models the prefetch over the measured shards.
+    const auto input = makeInput(0.25, 1 << 20, 47);
+    const TransferPlan real = engine.planTransfer("real", input);
+    SpillArena arena;
+    const SpilledOffload spilled =
+        transfers.offloadInto(input, arena).value();
+    EXPECT_DOUBLE_EQ(real.prefetch.overlapped_seconds,
+                     transfers.duplexTiming({}, spilled.shards)
+                         .prefetch.overlapped_seconds);
+    arena.release(spilled.ticket);
+
+    // CompressionFree keeps the seed model: no prefetch breakdown.
+    CdmaConfig free_config;
+    free_config.compression.lanes = 2;
+    const TransferPlan free_plan =
+        CdmaEngine(free_config).planFromRatio("map", raw, 2.5);
+    EXPECT_EQ(free_plan.prefetch.shard_count, 0u);
+    EXPECT_DOUBLE_EQ(free_plan.prefetch.overlapped_seconds, 0.0);
+}
+
+TEST(VdnnMemoryManager, PlannedOffloadsCarryOverlapTiming)
+{
+    const NetworkDesc net = allNetworkDescs().front();
+    const VdnnMemoryManager manager(net, 16);
+    const CdmaEngine engine = makeEngine(1);
+
+    std::vector<double> ratios(net.layers.size(), 2.0);
+    const auto plans = manager.plannedOffloads(engine, ratios);
+    ASSERT_EQ(plans.size(), manager.offloadSchedule().size());
+    for (size_t k = 0; k < plans.size(); ++k) {
+        EXPECT_EQ(plans[k].raw_bytes, manager.offloadSchedule()[k].bytes);
+        EXPECT_GT(plans[k].offload.shard_count, 0u);
+        EXPECT_DOUBLE_EQ(plans[k].seconds,
+                         plans[k].offload.overlapped_seconds);
+    }
+    // Row 0 carries the raw image batch: never compressed.
+    EXPECT_DOUBLE_EQ(plans[0].ratio, 1.0);
+
+    // The raw-DMA (vDNN baseline) flavour bypasses the pipeline model.
+    const auto raw_plans =
+        manager.plannedOffloads(engine, {}, /*raw_dma=*/true);
+    for (const auto &plan : raw_plans) {
+        EXPECT_EQ(plan.wire_bytes, plan.raw_bytes);
+        EXPECT_EQ(plan.offload.shard_count, 0u);
+    }
+
+    // Staging buffers show up in the engine-aware footprint.
+    const MemoryFootprint fp = manager.footprint(engine);
+    EXPECT_EQ(fp.staging_bytes,
+              2 * TransferEngine(engine).shardWindows() *
+                  engine.config().compression.window_bytes);
+    EXPECT_EQ(fp.vdnn_peak,
+              manager.footprint().vdnn_peak + fp.staging_bytes);
+}
+
+TEST(VdnnMemoryManager, PlannedPrefetchesUseThePrefetchPipeline)
+{
+    const NetworkDesc net = allNetworkDescs().front();
+    const VdnnMemoryManager manager(net, 16);
+    const CdmaEngine engine = makeEngine(1);
+
+    std::vector<double> ratios(net.layers.size(), 2.0);
+    const auto offloads = manager.plannedOffloads(engine, ratios);
+    const auto prefetches = manager.plannedPrefetches(engine, ratios);
+    ASSERT_EQ(prefetches.size(), offloads.size());
+    for (size_t k = 0; k < prefetches.size(); ++k) {
+        // Reverse order, retimed to the prefetch makespan.
+        const TransferPlan &off = offloads[offloads.size() - 1 - k];
+        const TransferPlan &pre = prefetches[k];
+        EXPECT_EQ(pre.label, off.label);
+        EXPECT_GT(pre.prefetch.shard_count, 0u);
+        EXPECT_DOUBLE_EQ(pre.seconds, pre.prefetch.overlapped_seconds);
+    }
+
+    // The raw-DMA (vDNN baseline) flavour keeps plain occupancy.
+    const auto raw_prefetches =
+        manager.plannedPrefetches(engine, {}, /*raw_dma=*/true);
+    for (const auto &plan : raw_prefetches) {
+        EXPECT_EQ(plan.prefetch.shard_count, 0u);
+        EXPECT_DOUBLE_EQ(plan.seconds,
+                         engine.transferSeconds(plan.raw_bytes, 1.0));
+    }
+}
+
 TEST(VdnnMemoryManager, DuplexScheduleInterleavesBothDirections)
 {
     const NetworkDesc net = allNetworkDescs().front();
@@ -381,6 +498,39 @@ TEST(VdnnMemoryManager, DuplexScheduleInterleavesBothDirections)
         EXPECT_EQ(pre.direction, TransferDirection::Prefetch);
         EXPECT_EQ(pre.op.layer_index,
                   offloads[offloads.size() - 1 - k].layer_index);
+    }
+}
+
+TEST(StepSimulator, BackwardLegWaitsOnThePrefetchPipeline)
+{
+    const NetworkDesc net = allNetworkDescs().front();
+    const VdnnMemoryManager manager(net, 16);
+    PerfModel perf;
+
+    CdmaConfig config;
+    config.transfer.timing_mode = TimingMode::Overlapped;
+    const CdmaEngine engine(config);
+    const StepSimulator sim(manager, engine, perf, CudnnVersion::V5);
+
+    std::vector<double> ratios(net.layers.size(), 2.0);
+    const StepResult result = sim.run(StepMode::Cdma, ratios);
+    bool saw_prefetch = false;
+    for (const auto &layer : result.layers) {
+        if (layer.offload.shard_count == 0)
+            continue;
+        saw_prefetch = true;
+        EXPECT_GT(layer.prefetch.shard_count, 0u) << layer.label;
+        EXPECT_DOUBLE_EQ(layer.prefetch_seconds,
+                         layer.prefetch.overlapped_seconds)
+            << layer.label;
+    }
+    EXPECT_TRUE(saw_prefetch);
+
+    // vDNN mode (raw DMA) prices both directions identically.
+    const StepResult vdnn = sim.run(StepMode::Vdnn);
+    for (const auto &layer : vdnn.layers) {
+        EXPECT_EQ(layer.prefetch.shard_count, 0u);
+        EXPECT_DOUBLE_EQ(layer.prefetch_seconds, layer.offload_seconds);
     }
 }
 

@@ -16,8 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cdma/engine.hh"
-#include "cdma/transfer_engine.hh"
 #include "common/rng.hh"
 #include "compress/compressor.hh"
 #include "compress/kernels/kernels.hh"
@@ -192,8 +190,8 @@ TEST_P(CorruptionSuite, ZeroWindowSizeIsCorruptOnEveryPath)
 {
     // A caller-supplied buffer that frames two windows but no window
     // size. Every decoder must refuse it before dividing by the window
-    // size or writing output: the serial codec, the parallel decoder at
-    // one and two lanes (both entry points) and the engine's prefetch.
+    // size or writing output: the serial codec and the parallel decoder
+    // at one and two lanes (both entry points).
     const Algorithm algorithm = GetParam();
     CompressedBuffer buffer;
     buffer.original_bytes = 8192;
@@ -219,15 +217,6 @@ TEST_P(CorruptionSuite, ZeroWindowSizeIsCorruptOnEveryPath)
         EXPECT_EQ(status.code(), StatusCode::Corrupt)
             << algorithmName(algorithm) << " shards lanes=" << lanes;
         EXPECT_FALSE(notified);
-
-        CdmaConfig config;
-        config.compression.algorithm = algorithm;
-        config.compression.lanes = lanes;
-        const CdmaEngine engine(config);
-        const TransferEngine transfers(engine);
-        EXPECT_EQ(transfers.prefetch(buffer).status().code(),
-                  StatusCode::Corrupt)
-            << algorithmName(algorithm) << " prefetch lanes=" << lanes;
     }
 }
 

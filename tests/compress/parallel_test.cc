@@ -164,6 +164,31 @@ TEST(ParallelCompressor, SingleWindowTakesSerialPath)
                     parallel.compress(input), "single window");
 }
 
+TEST(ParallelCompressor, ShardStreamArrivesInOrderAndStitchesExactly)
+{
+    const auto input = makeInput(0.5, (1 << 18) + 37, 43);
+    for (unsigned lanes : {1u, 2u, 8u}) {
+        const ParallelCompressor compressor(Algorithm::Zvc, 4096, lanes);
+        CompressedBuffer stitched;
+        stitched.original_bytes = input.size();
+        stitched.window_bytes = 4096;
+        uint64_t expected_index = 0;
+        compressor.compressShards(
+            input, /*windows_per_shard=*/5, [&](CompressedShard &&shard) {
+                EXPECT_EQ(shard.index, expected_index++);
+                stitched.payload.insert(stitched.payload.end(),
+                                        shard.payload.begin(),
+                                        shard.payload.end());
+                stitched.window_sizes.insert(stitched.window_sizes.end(),
+                                             shard.window_sizes.begin(),
+                                             shard.window_sizes.end());
+            });
+        EXPECT_EQ(expected_index, 13u); // ceil(65 windows / 5)
+        expectIdentical(stitched, compressor.serial().compress(input),
+                        "shard stream stitch");
+    }
+}
+
 TEST(ParallelCompressor, ManyMoreWindowsThanLanes)
 {
     const auto input = makeInput(0.3, (1 << 20) + 37, 11);
