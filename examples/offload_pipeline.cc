@@ -89,8 +89,8 @@ main(int argc, char **argv)
 
     // 2. Per-layer ZVC ratios from synthetic trained activations,
     //    compressed with the parallel window fan-out (one lane per
-    //    hardware thread), the same path CdmaEngine::planTransfer uses
-    //    when configured with compression_lanes != 1.
+    //    hardware thread), the same ordered fan-out CdmaEngine's
+    //    transfers run on when configured with compression.lanes != 1.
     const DensitySchedule schedule(net);
     const ActivationGenerator generator;
     const ParallelCompressor zvc(Algorithm::Zvc,

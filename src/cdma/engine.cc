@@ -54,65 +54,47 @@ codecModeName(CodecMode mode)
     panic("unreachable codec mode %d", static_cast<int>(mode));
 }
 
-CdmaEngine::CdmaEngine(const CdmaConfig &config)
-    : config_(config),
-      compressor_(std::make_unique<ParallelCompressor>(
-          config.compression.algorithm,
-          config.compression.window_bytes, config.compression.lanes,
-          config.compression.kernels))
+CdmaEngine::CdmaEngine(const CdmaConfig &config) : config_(config)
 {
     CDMA_ASSERT(config.gpu.pcie_bandwidth > 0.0 &&
                     config.gpu.comp_bandwidth > 0.0,
                 "invalid cDMA bandwidth configuration");
-    compressor_->setMetrics(config_.obs.metrics);
-
-    // Serial decoder bank: the prefetch side dispatches per stored
-    // shard's codec tag, so every codec's decoder must exist whatever
-    // mode the engine runs in (mixed-codec spills can arrive from an
-    // adaptive peer). Cheap stateless objects.
     const CompressionConfig &comp = config_.compression;
-    for (const Codec codec : kAllCodecs) {
-        serial_codecs_.push_back(
-            makeCodecCompressor(codec, comp.window_bytes, comp.kernels));
-    }
+    CDMA_ASSERT(comp.mode == CodecMode::Fixed || comp.policy != nullptr,
+                "CodecMode::Adaptive needs a CodecPolicyEngine "
+                "(CompressionConfig::policy)");
 
-    // Adaptive compressor bank: one ParallelCompressor per codec the
-    // policy can choose. Only under Adaptive — each bank entry with
-    // lanes != 1 owns a thread pool, a cost Fixed engines shouldn't pay.
-    if (comp.mode == CodecMode::Adaptive) {
-        CDMA_ASSERT(comp.policy != nullptr,
-                    "CodecMode::Adaptive needs a CodecPolicyEngine "
-                    "(CompressionConfig::policy)");
-        const Codec fixed = codecFor(comp.algorithm);
-        codec_bank_.resize(std::size(kAllCodecs));
-        for (const Codec codec : kAllCodecs) {
-            if (codec == fixed)
-                continue; // compressorFor() routes this to compressor_
-            auto bank = std::make_unique<ParallelCompressor>(
-                makeCodecCompressor(codec, comp.window_bytes,
-                                    comp.kernels),
-                comp.lanes);
-            bank->setMetrics(config_.obs.metrics);
-            codec_bank_[static_cast<size_t>(codec)] = std::move(bank);
-        }
+    // One codec bank on one pool: a ParallelCompressor per codec, all
+    // borrowing the engine's lanes. The prefetch side dispatches per
+    // stored shard's codec tag and a caller may override the codec of
+    // any offload, so every codec exists whatever the mode.
+    if (comp.lanes != 1)
+        pool_ = std::make_unique<ThreadPool>(comp.lanes);
+    bank_.reserve(std::size(kAllCodecs));
+    for (const Codec codec : kAllCodecs) {
+        bank_.emplace_back(
+            makeCodecCompressor(codec, comp.window_bytes, comp.kernels),
+            pool_.get());
+        bank_.back().setMetrics(config_.obs.metrics);
     }
+}
+
+const ParallelCompressor &
+CdmaEngine::compressor() const
+{
+    return compressorFor(codecFor(config_.compression.algorithm));
 }
 
 const ParallelCompressor &
 CdmaEngine::compressorFor(Codec codec) const
 {
-    if (codec == compressor_->codecTag() || codec_bank_.empty())
-        return *compressor_;
-    const auto &bank = codec_bank_[static_cast<size_t>(codec)];
-    CDMA_ASSERT(bank != nullptr, "no bank compressor for codec %s",
-                codecName(codec).c_str());
-    return *bank;
+    return bank_[static_cast<size_t>(codec)];
 }
 
 const Compressor &
 CdmaEngine::serialCodec(Codec codec) const
 {
-    return *serial_codecs_[static_cast<size_t>(codec)];
+    return compressorFor(codec).serial();
 }
 
 void
@@ -163,7 +145,7 @@ CdmaEngine::planTransfer(const std::string &label,
     // the achieved ratio feeds back into the policy's model.
     CodecPolicyEngine *policy = config_.compression.policy;
     std::optional<PolicyDecision> decision;
-    Codec codec = compressor_->codecTag();
+    Codec codec = compressor().codecTag();
     if (config_.compression.mode == CodecMode::Adaptive &&
         policy != nullptr) {
         decision = policy->decide(label, data);
@@ -175,35 +157,32 @@ CdmaEngine::planTransfer(const std::string &label,
     plan.codec = codec;
     if (decision)
         plan.policy_predicted_seconds = decision->predicted_seconds;
+    // The real per-shard compressed sizes. The store-raw floor applies
+    // per window, so the shards' wire bytes sum to the stitched
+    // buffer's effectiveBytes() whatever the shard size.
+    const TransferEngine transfers(*this);
+    std::vector<ShardTransfer> train;
+    compressorFor(codec).compressShards(
+        data, transfers.shardWindows(), [&](CompressedShard &&shard) {
+            train.push_back(
+                {shard.raw_bytes,
+                 shard.effectiveBytes(config_.compression.window_bytes)});
+            plan.wire_bytes += train.back().wire_bytes;
+        });
+    plan.ratio = plan.wire_bytes > 0
+        ? static_cast<double>(plan.raw_bytes) /
+            static_cast<double>(plan.wire_bytes)
+        : 1.0;
     if (config_.transfer.timing_mode == TimingMode::Overlapped) {
-        // Double-buffered pipeline over the real per-shard compressed
-        // sizes: compression latency is explicit and the COMP_BW cap
-        // emerges when the compression stage cannot feed the link. The
-        // store-raw floor applies per window, so the shards' wire bytes
-        // sum to the stitched buffer's effectiveBytes().
-        const TransferEngine transfers(*this);
-        std::vector<ShardTransfer> train;
-        compressorFor(codec).compressShards(
-            data, transfers.shardWindows(), [&](CompressedShard &&shard) {
-                train.push_back(
-                    {shard.raw_bytes,
-                     shard.effectiveBytes(config_.compression.window_bytes)});
-                plan.wire_bytes += train.back().wire_bytes;
-            });
-        plan.ratio = plan.wire_bytes > 0
-            ? static_cast<double>(plan.raw_bytes) /
-                static_cast<double>(plan.wire_bytes)
-            : 1.0;
-        // The prefetch leg returns the same compressed shards, so both
-        // legs price one train; a configured fault process is folded in
-        // as expected retries.
+        // Double-buffered pipeline over the shard train: compression
+        // latency is explicit and the COMP_BW cap emerges when the
+        // compression stage cannot feed the link. The prefetch leg
+        // returns the same compressed shards, so both legs price one
+        // train; a configured fault process is folded in as expected
+        // retries.
         transfers.applyExpectedFaults(train);
         priceRoundTrip(plan, transfers, train);
     } else {
-        const CompressedBuffer compressed =
-            compressorFor(codec).compress(data);
-        plan.wire_bytes = compressed.effectiveBytes();
-        plan.ratio = compressed.effectiveRatio();
         plan.seconds = transferSeconds(plan.wire_bytes, plan.ratio);
     }
     plan.required_fetch_bandwidth =

@@ -247,9 +247,12 @@ struct DuplexTiming {
 };
 
 /**
- * How the engine picks the codec for each transfer. Fixed (the
- * historical behavior) always uses CompressionConfig::algorithm.
- * Adaptive consults CompressionConfig::policy per transfer: the
+ * How the engine picks the codec for each transfer. Both modes run the
+ * same codec bank (one compressor per Codec on one lane pool), and an
+ * explicit per-transfer codec override is honored in both; the mode
+ * only decides whether the engine asks its policy. Fixed (the
+ * historical behavior) uses CompressionConfig::algorithm. Adaptive
+ * consults CompressionConfig::policy per transfer: the
  * CodecPolicyEngine prices ZVC/RLE/ZL/raw from the layer's observed
  * density and the wire, and the engine compresses with whatever won —
  * per-shard codec tags make the decode side follow along.
@@ -273,9 +276,9 @@ struct CompressionConfig {
      * mirroring the hardware's replicated compression and
      * decompression pipelines (Section V-B). The count includes the
      * calling thread, which works shards alongside lanes - 1 pool
-     * workers, and the same lanes serve both legs: planTransfer, the
-     * offload flows and the prefetch flows. 1 = serial; 0 = one lane
-     * per hardware thread.
+     * workers, and the same lanes serve every codec and both legs:
+     * planTransfer, the offload flows and the prefetch flows. 1 =
+     * serial; 0 = one lane per hardware thread.
      */
     unsigned lanes = 1;
     /**
@@ -481,24 +484,24 @@ class CdmaEngine
     /** Engine configuration. */
     const CdmaConfig &config() const { return config_; }
 
-    /** The (possibly parallel) compressor backing planTransfer(). */
-    const ParallelCompressor &compressor() const { return *compressor_; }
+    /**
+     * The bank's compressor for the configured algorithm: what a
+     * transfer uses when neither the policy nor the caller picks a
+     * codec.
+     */
+    const ParallelCompressor &compressor() const;
 
     /**
-     * The compressor for @p codec: the fixed compressor when the tag
-     * matches (or when no codec bank exists — CodecMode::Fixed keeps
-     * the historical single-codec behavior regardless of tag), else the
-     * adaptive bank's compressor for that codec. The bank is built
-     * under CodecMode::Adaptive, one ParallelCompressor per codec the
-     * policy can choose, all sharing the engine's window/lanes/kernels.
+     * The bank's compressor for @p codec, in either codec mode. Every
+     * entry shares the engine's window, kernel backend and lane pool.
      */
     const ParallelCompressor &compressorFor(Codec codec) const;
 
     /**
-     * Serial decoder for @p codec (same window and kernel backend as
-     * the engine's compressor). Always available, every codec: the
-     * prefetch side dispatches per *stored shard* tag, which under the
-     * adaptive policy can differ shard to shard within one spill.
+     * Serial decoder for @p codec: compressorFor(codec).serial(), so
+     * the same window and kernel backend. The prefetch side dispatches
+     * per *stored shard* tag, which under the adaptive policy can
+     * differ shard to shard within one spill.
      */
     const Compressor &serialCodec(Codec codec) const;
 
@@ -506,7 +509,7 @@ class CdmaEngine
     CodecPolicyEngine *policy() const { return config_.compression.policy; }
 
     /** Kernel backend name the engine compresses with. */
-    const char *backendName() const { return compressor_->backendName(); }
+    const char *backendName() const { return compressor().backendName(); }
 
     /**
      * Plan a transfer by compressing the actual bytes (the
@@ -549,14 +552,11 @@ class CdmaEngine
 
   private:
     CdmaConfig config_;
-    std::unique_ptr<ParallelCompressor> compressor_;
-    /** Serial decoder per codec, indexed by static_cast<size_t>(Codec);
-     *  always populated (cheap, stateless objects). */
-    std::vector<std::unique_ptr<Compressor>> serial_codecs_;
-    /** Adaptive compressor bank, same indexing; entries only under
-     *  CodecMode::Adaptive (the slot matching the fixed algorithm stays
-     *  empty — compressorFor() routes it to compressor_). */
-    std::vector<std::unique_ptr<ParallelCompressor>> codec_bank_;
+    /** The lanes every bank entry borrows (CompressionConfig::lanes);
+     *  null at one lane. Declared before bank_, so it outlives it. */
+    std::unique_ptr<ThreadPool> pool_;
+    /** One compressor per Codec, indexed by static_cast<size_t>(Codec). */
+    std::vector<ParallelCompressor> bank_;
 };
 
 } // namespace cdma

@@ -198,9 +198,8 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
 {
     const CdmaEngine &engine = te.cdma();
     const CdmaConfig &config = engine.config();
-    const ParallelCompressor &compressor = codec_override
-        ? engine.compressorFor(*codec_override)
-        : engine.compressor();
+    const ParallelCompressor &compressor = engine.compressorFor(
+        codec_override.value_or(engine.compressor().codecTag()));
     sim::FaultInjector *injector = config.transfer.fault_injector;
     const RetryPolicy &retry = config.transfer.retry;
     const KernelOps &kernels = compressor.serial().kernels();

@@ -272,12 +272,11 @@ class TransferEngine
      * failures). Returns Status::retryExhausted — with the partially
      * filled ticket released — when a shard burns every attempt.
      *
-     * @p codec overrides the engine's fixed codec for this transfer
-     * (the adaptive policy's choice — requires the engine's codec bank
-     * when it differs from the fixed codec); nullopt = the engine's
-     * configured compressor. Every stored shard carries its codec tag,
-     * so spills written with different overrides decode correctly side
-     * by side.
+     * @p codec overrides the engine's configured codec for this
+     * transfer (the adaptive policy's choice), in either codec mode;
+     * nullopt = the engine's configured compressor. Every stored shard
+     * carries its codec tag, so spills written with different
+     * overrides decode correctly side by side.
      */
     StatusOr<SpilledOffload>
     offloadInto(std::span<const uint8_t> data, SpillArena &arena,

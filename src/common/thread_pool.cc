@@ -60,73 +60,122 @@ ThreadPool::submitDetached(std::function<void()> task)
 }
 
 void
-ThreadPool::parallelFor(uint64_t count,
-                        const std::function<void(uint64_t)> &fn)
+ThreadPool::orderedFanOut(uint64_t count,
+                          const std::function<void(uint64_t)> &work,
+                          const std::function<bool(uint64_t)> &drain)
 {
-    if (count == 0)
-        return;
-    if (workers_.empty() || count == 1) {
-        for (uint64_t i = 0; i < count; ++i)
-            fn(i);
+    if (workers_.empty() || count < 2) {
+        for (uint64_t i = 0; i < count; ++i) {
+            work(i);
+            if (!drain(i))
+                return;
+        }
         return;
     }
 
-    // Dynamic scheduling: every lane pulls the next unclaimed index, so
-    // unevenly sized shards (e.g. the last partial window group) cannot
-    // leave a lane idle while another is overloaded. A throwing fn must
-    // not escape a worker thread (std::terminate); the first exception
-    // is captured, the index space is abandoned so every lane exits its
-    // pull loop promptly, and the rendezvous below rethrows it on the
-    // calling thread once all lanes have stopped touching this frame.
+    // Every lane claims indices from one counter and flags each as it
+    // completes. The calling thread drains strictly in index order;
+    // while the next index to drain is still being worked elsewhere, it
+    // claims and works an unclaimed index itself.
     std::atomic<uint64_t> next{0};
-    std::mutex error_mutex;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::vector<bool> done(count, false);
+    uint64_t helpers_exited = 0;
     std::exception_ptr first_error;
-    auto drain = [&] {
-        for (;;) {
-            const uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                break;
-            try {
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-                next.store(count, std::memory_order_relaxed);
-            }
+
+    auto workIndex = [&](uint64_t i) {
+        try {
+            work(i);
+        } catch (...) {
+            // First exception wins; abandon the remaining indices so
+            // every lane exits promptly, and wake the drain (which
+            // stops and rethrows after the join).
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!first_error)
+                first_error = std::current_exception();
+            next.store(count, std::memory_order_relaxed);
         }
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            done[i] = true;
+        }
+        cv.notify_all();
     };
 
-    // One queued task per worker that could usefully participate; each
-    // task loops until the index space is exhausted, so completion of all
-    // queued tasks plus the inline drain implies completion of all work.
     const uint64_t helpers =
         std::min<uint64_t>(workers_.size(), count - 1);
-    uint64_t exited = 0; // guarded by mutex_
+    for (uint64_t h = 0; h < helpers; ++h) {
+        submitDetached([&] {
+            for (;;) {
+                const uint64_t i =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (i >= count)
+                    break;
+                workIndex(i);
+            }
+            {
+                // Notify while holding the mutex: once helpers_exited
+                // reaches the target the caller may return and destroy
+                // this frame's cv, so an unlocked notify could touch a
+                // dead condition variable.
+                std::lock_guard<std::mutex> lock(mutex);
+                ++helpers_exited;
+                cv.notify_all();
+            }
+        });
+    }
+
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (uint64_t i = 0; i < helpers; ++i) {
-            tasks_.push([&] {
-                drain();
-                // Count the exit under the mutex: the caller reads the
-                // count under it too, so it cannot return (and pop this
-                // frame's exited/helpers) until the lock is released.
-                std::lock_guard<std::mutex> inner(mutex_);
-                if (++exited == helpers)
-                    done_cv_.notify_all();
-            });
+        // Helpers capture this frame's locals by reference, so every
+        // exit path — including a throwing drain — abandons the
+        // unclaimed indices and waits for all of them to leave their
+        // pull loop before the frame unwinds.
+        struct JoinGuard {
+            std::atomic<uint64_t> &next;
+            const uint64_t count;
+            std::mutex &mutex;
+            std::condition_variable &cv;
+            uint64_t &exited;
+            const uint64_t target;
+            ~JoinGuard()
+            {
+                next.store(count, std::memory_order_relaxed);
+                std::unique_lock<std::mutex> lock(mutex);
+                cv.wait(lock, [&] { return exited == target; });
+            }
+        } join{next, count, mutex, cv, helpers_exited, helpers};
+
+        // True once index i is done; false once any lane's work threw.
+        auto ready = [&](uint64_t i) {
+            for (;;) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    if (first_error)
+                        return false;
+                    if (done[i])
+                        return true;
+                }
+                const uint64_t claimed =
+                    next.fetch_add(1, std::memory_order_relaxed);
+                if (claimed < count) {
+                    workIndex(claimed);
+                    continue;
+                }
+                // Nothing left to claim: wait for the lane working i.
+                std::unique_lock<std::mutex> lock(mutex);
+                cv.wait(lock,
+                        [&] { return done[i] || first_error != nullptr; });
+                return first_error == nullptr;
+            }
+        };
+        for (uint64_t i = 0; i < count; ++i) {
+            if (!ready(i) || !drain(i))
+                break;
         }
     }
-    work_cv_.notify_all();
-
-    drain();
-
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return exited == helpers; });
-    }
-    // All lanes have left their pull loops: safe to rethrow (no lock
-    // needed — the join above is the synchronization point).
+    // All helpers have left their pull loops (the guard joined them), so
+    // the captured exception can be rethrown without racing the frame.
     if (first_error)
         std::rethrow_exception(first_error);
 }

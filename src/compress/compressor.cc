@@ -97,55 +97,77 @@ Compressor::compress(std::span<const uint8_t> input) const
     return out;
 }
 
+Status
+checkBufferFraming(const CompressedBuffer &buffer)
+{
+    using ull = unsigned long long;
+    const uint64_t windows = buffer.window_sizes.size();
+    // Checked first: the window count below divides by it.
+    if (buffer.window_bytes == 0) {
+        return Status::corrupt(
+            "compressed buffer frames %llu windows with a zero window size",
+            static_cast<ull>(windows));
+    }
+    // ceil(original / window) without ceilDiv's addition, which a
+    // caller-supplied original_bytes near 2^64 would overflow.
+    const uint64_t expected = buffer.original_bytes / buffer.window_bytes +
+        (buffer.original_bytes % buffer.window_bytes != 0 ? 1 : 0);
+    if (windows != expected) {
+        return Status::corrupt(
+            "window count %llu inconsistent with original size %llu",
+            static_cast<ull>(windows),
+            static_cast<ull>(buffer.original_bytes));
+    }
+    uint64_t framed = 0;
+    for (const uint32_t size : buffer.window_sizes)
+        framed += size;
+    if (framed != buffer.payload.size()) {
+        return Status::corrupt(
+            "window sizes cover %llu bytes but the payload has %zu",
+            static_cast<ull>(framed), buffer.payload.size());
+    }
+    return Status{};
+}
+
 StatusOr<ByteVec>
 Compressor::decompress(const CompressedBuffer &buffer) const
 {
+    const Status framing = checkBufferFraming(buffer);
+    if (!framing.ok())
+        return framing;
     // Pre-sized output: every window decompresses straight into its slot,
     // so stitching is free (no insert-at-end growth or copies). ByteVec
     // leaves the bytes uninitialized; decompressWindowInto() writes every
-    // byte of every slot, zeros included. Framing inconsistencies are
-    // data errors (the framing crosses the wire too), not invariants.
-    if (buffer.window_bytes == 0 && !buffer.window_sizes.empty()) {
-        return Status::corrupt(
-            "compressed buffer frames %zu windows with a zero window size",
-            buffer.window_sizes.size());
-    }
+    // byte of every slot, zeros included.
     ByteVec out(buffer.original_bytes);
+    const Status status = decompressWindows(
+        buffer, 0, buffer.window_sizes.size(), 0, out.data());
+    if (!status.ok())
+        return status;
+    return out;
+}
 
-    uint64_t payload_offset = 0;
-    uint64_t out_offset = 0;
-    uint64_t remaining = buffer.original_bytes;
-    uint64_t window = 0;
-    for (uint32_t size : buffer.window_sizes) {
-        const uint64_t raw =
-            std::min<uint64_t>(remaining, buffer.window_bytes);
-        if (payload_offset + size > buffer.payload.size()) {
-            return Status::truncated(
-                "window %llu payload overruns compressed buffer "
-                "(%llu + %u > %zu)",
-                static_cast<unsigned long long>(window),
-                static_cast<unsigned long long>(payload_offset), size,
-                buffer.payload.size());
-        }
-        std::span<const uint8_t> payload(
-            buffer.payload.data() + payload_offset, size);
-        const Status status =
-            decompressWindowInto(payload, raw, out.data() + out_offset);
+Status
+Compressor::decompressWindows(const CompressedBuffer &buffer, uint64_t first,
+                              uint64_t last, uint64_t payload_offset,
+                              uint8_t *out) const
+{
+    for (uint64_t w = first; w < last; ++w) {
+        const uint64_t out_offset = w * buffer.window_bytes;
+        const uint64_t raw = std::min<uint64_t>(
+            buffer.window_bytes, buffer.original_bytes - out_offset);
+        const uint32_t size = buffer.window_sizes[w];
+        const Status status = decompressWindowInto(
+            std::span<const uint8_t>(buffer.payload.data() + payload_offset,
+                                     size),
+            raw, out + out_offset);
         if (!status.ok()) {
-            return status.withContext(
-                "window %llu", static_cast<unsigned long long>(window));
+            return status.withContext("window %llu",
+                                      static_cast<unsigned long long>(w));
         }
         payload_offset += size;
-        out_offset += raw;
-        remaining -= raw;
-        ++window;
     }
-    if (remaining != 0) {
-        return Status::truncated(
-            "compressed buffer missing %llu bytes",
-            static_cast<unsigned long long>(remaining));
-    }
-    return out;
+    return Status{};
 }
 
 double

@@ -117,6 +117,15 @@ struct CompressedBuffer {
 };
 
 /**
+ * The framing check every whole-buffer decode runs before it writes a
+ * byte: the window size is non-zero, the window count is
+ * ceil(original_bytes / window_bytes), and the window sizes sum to the
+ * payload size. The framing crosses the wire with the payload, so an
+ * inconsistency is a data error (Status::corrupt), not an invariant.
+ */
+Status checkBufferFraming(const CompressedBuffer &buffer);
+
+/**
  * Interface for a windowed lossless compressor.
  *
  * Subclasses implement the streaming pair compressWindowInto() /
@@ -153,11 +162,25 @@ class Compressor
     CompressedBuffer compress(std::span<const uint8_t> input) const;
 
     /**
-     * Invert compress(); returns exactly the original bytes, or the
-     * first window's decode error (annotated with the window index) when
-     * the buffer's payload or framing has been corrupted in flight.
+     * Invert compress(); returns exactly the original bytes, the
+     * checkBufferFraming() error when the framing is inconsistent, or
+     * the first window's decode error (annotated with the window index)
+     * when the buffer's payload has been corrupted in flight.
      */
     StatusOr<ByteVec> decompress(const CompressedBuffer &buffer) const;
+
+    /**
+     * Expand windows [first, last) of @p buffer, which passed
+     * checkBufferFraming(), into their slots of @p out (sized
+     * buffer.original_bytes). @p payload_offset is where window
+     * @p first's payload starts. Returns the first failing window's
+     * decode error, annotated with its index. Thread-safe on disjoint
+     * window ranges: the one window loop behind decompress() and every
+     * lane of ParallelCompressor::decompress().
+     */
+    Status decompressWindows(const CompressedBuffer &buffer, uint64_t first,
+                             uint64_t last, uint64_t payload_offset,
+                             uint8_t *out) const;
 
     /**
      * Convenience: compression ratio of @p input with the store-raw

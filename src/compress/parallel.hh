@@ -4,10 +4,12 @@
  * analogue of the paper's replicated compression/decompression pipelines
  * (Section V-B provisions enough CPE/DPE replicas that the ZVC engine
  * matches the DMA link rate). Windows are independent by construction, so
- * a buffer's window list is partitioned into contiguous shards, each lane
- * compresses its shard into a privately reserved payload via the
- * streaming compressWindowInto() API, and the shards are stitched with
- * pre-sized bulk copies. The result is bit-identical to the serial
+ * a buffer's window list is partitioned into contiguous shards and every
+ * real byte goes through one ordered fan-out (ThreadPool::orderedFanOut):
+ * the lanes compress or expand shards via the streaming
+ * compressWindowInto() / decompressWindowInto() API, and the calling
+ * thread drains them in shard order — compress() stitches the payload
+ * there with bulk copies. The result is bit-identical to the serial
  * Compressor::compress() on every input.
  */
 
@@ -73,6 +75,7 @@ class ParallelCompressor
 {
   public:
     /**
+     * A compressor with a pool of its own.
      * @param algorithm Codec replicated across the lanes.
      * @param window_bytes Compression window.
      * @param lanes Worker lanes (including the caller). 0 = one per
@@ -86,9 +89,14 @@ class ParallelCompressor
         uint64_t window_bytes = Compressor::kDefaultWindowBytes,
         unsigned lanes = 0, const KernelOps *kernels = nullptr);
 
-    /** Wrap an existing codec (must be stateless/thread-safe, as all
-     *  in-tree codecs are). */
-    ParallelCompressor(std::unique_ptr<Compressor> codec, unsigned lanes);
+    /**
+     * Wrap an existing codec (must be stateless/thread-safe, as all
+     * in-tree codecs are) on lanes borrowed from @p pool (non-owning;
+     * the caller keeps it alive for this compressor's lifetime;
+     * nullptr = one lane). The engine's codec bank shares one pool
+     * this way.
+     */
+    ParallelCompressor(std::unique_ptr<Compressor> codec, ThreadPool *pool);
 
     /** Algorithm tag of the underlying codec. */
     std::string name() const { return codec_->name(); }
@@ -119,15 +127,20 @@ class ParallelCompressor
     void setMetrics(obs::MetricsRegistry *metrics);
 
     /**
-     * Compress @p input with the window space fanned out across the
-     * lanes. Output is byte-identical to serial().compress(input).
+     * Compress @p input with the window space cut into one contiguous
+     * shard per lane; the lanes compress the shards through
+     * runOrderedShardFanOut() and the drain stitches them in shard
+     * order. Output is byte-identical to serial().compress(input).
      */
     CompressedBuffer compress(std::span<const uint8_t> input) const;
 
     /**
-     * Invert compress(), decompressing windows in parallel. A corrupted
-     * or truncated buffer returns the first failing window's decode
-     * error (by window order), annotated with the window index.
+     * Invert compress(): the checkBufferFraming() check, then one
+     * contiguous window group per lane expanded through
+     * runOrderedShardFanOut(). A corrupted buffer returns the framing
+     * error, or the first failing window's decode error (by window
+     * order) annotated with the window index — the same Status as
+     * serial().decompress(buffer) at every lane count.
      */
     StatusOr<ByteVec> decompress(const CompressedBuffer &buffer) const;
 
@@ -136,25 +149,6 @@ class ParallelCompressor
 
     /** Receives each compressed shard exactly once, in shard order. */
     using ShardConsumer = std::function<void(CompressedShard &&)>;
-
-    /**
-     * One reconstructed shard of a sharded decompression: the window
-     * group's position and byte counts. The raw bytes themselves land
-     * directly in the caller's output region (offset raw_offset), so
-     * the notification carries accounting, not data.
-     */
-    struct DecompressedShard {
-        uint64_t index = 0;        ///< shard position in the stream
-        uint64_t first_window = 0; ///< absolute index of the first window
-        uint64_t raw_offset = 0;   ///< byte offset into the output region
-        uint64_t raw_bytes = 0;    ///< reconstructed bytes of this shard
-        /** Store-raw-floored bytes the shard cost on the wire. */
-        uint64_t wire_bytes = 0;
-    };
-
-    /** Receives each decompressed shard exactly once, in shard order. */
-    using DecompressedShardConsumer =
-        std::function<void(const DecompressedShard &)>;
 
     /**
      * Shard-streaming compression for the offload pipeline: the window
@@ -177,55 +171,18 @@ class ParallelCompressor
                         const ShardConsumer &consumer) const;
 
     /**
-     * Shard-streaming decompression for the prefetch pipeline — the
-     * inverse of compressShards(): @p buffer's window space is cut into
-     * shards of @p windows_per_shard consecutive windows (the last may
-     * be short), every lane — the calling thread included —
-     * reconstructs shards concurrently through runOrderedShardFanOut(),
-     * straight into their slots of @p out (which must hold
-     * buffer.original_bytes), and @p consumer is invoked on the calling
-     * thread for shard 0, 1, 2, ... as soon as each shard — and every
-     * shard before it — has been reconstructed. With one lane, shards
-     * are reconstructed and consumed alternately inline. Completion
-     * order is deterministic regardless of lane count; an empty buffer
-     * produces no shards.
-     *
-     * A corrupt or truncated buffer returns the first failing shard's
-     * decode error (by shard order), annotated with the shard index;
-     * the consumer has then been invoked exactly for the shards before
-     * the failing one, the shards not yet claimed are abandoned, and
-     * @p out is unspecified from the failing shard's slot onward.
-     */
-    Status decompressShards(const CompressedBuffer &buffer,
-                            uint64_t windows_per_shard, uint8_t *out,
-                            const DecompressedShardConsumer &consumer) const;
-
-    /**
-     * The ordered shard fan-out behind compressShards(),
-     * decompressShards() and the arena prefetch: every lane runs
-     * @p work on shards it claims from one shared counter, and the
-     * calling thread runs @p drain for shard 0, 1, 2, ... as soon as
-     * each shard — and every shard before it — has completed. The
-     * caller is a lane too: while the next shard to drain is still
-     * being worked elsewhere, it claims and works an unclaimed shard,
-     * then checks again. With one lane (or one shard) it runs
+     * The ordered shard fan-out behind compress(), decompress(),
+     * compressShards() and the arena prefetch: ThreadPool::orderedFanOut()
+     * over this compressor's lanes (see there for the ordering, stop and
+     * exception contract). With one lane (or one shard) it runs
      * work(s), drain(s) for each shard in turn, inline.
-     *
-     * @p work may run on any lane, concurrently with other shards'
-     * work and with @p drain, so it must only touch its own shard's
-     * state. @p drain returns false to stop: unclaimed shards are
-     * abandoned and no later shard is drained. Every exit path
-     * (including a throwing @p drain) joins the helpers before the
-     * frame unwinds; a throwing @p work, on a worker or on the caller,
-     * abandons the remaining shards and the first such exception is
-     * rethrown here after the join.
      */
     template <typename Work, typename Drain>
     void runOrderedShardFanOut(uint64_t shards, Work &&work,
                                Drain &&drain) const
     {
         if (pool_ && pool_->hasWorkers() && shards >= 2) {
-            fanOutOnLanes(shards, work, drain);
+            pool_->orderedFanOut(shards, work, drain);
             return;
         }
         // One lane: work and drain shards alternately on this thread,
@@ -238,19 +195,26 @@ class ParallelCompressor
     }
 
   private:
-    /** runOrderedShardFanOut() across the pool workers and the caller
-     *  (requires workers and shards >= 2). */
-    void fanOutOnLanes(uint64_t shards,
-                       const std::function<void(uint64_t)> &work,
-                       const std::function<bool(uint64_t)> &drain) const;
+    /** Windows per shard when @p windows are cut one shard per lane. */
+    uint64_t laneShardWindows(uint64_t windows) const;
 
-    /** Compress windows [first, last) of @p input into @p shard. */
+    /** Worst-case payload of windows [first, last) of an
+     *  @p input_bytes input. */
+    uint64_t payloadBound(uint64_t input_bytes, uint64_t first,
+                          uint64_t last) const;
+
+    /** Compress windows [first, last) of @p input into @p shard's
+     *  payload and window sizes (no CRC). */
     void compressShardInto(std::span<const uint8_t> input, uint64_t first,
                            uint64_t last, CompressedShard &shard) const;
 
     std::unique_ptr<Compressor> codec_;
     Codec codec_tag_ = Codec::Zvc; ///< cached codecFromName(codec_->name())
-    std::unique_ptr<ThreadPool> pool_; ///< null when lanes == 1
+    /** The pool the (Algorithm, ...) constructor builds; null when the
+     *  lanes are borrowed or lanes == 1. */
+    std::unique_ptr<ThreadPool> own_pool_;
+    /** The lanes' pool (own_pool_ or a borrowed one); null at one lane. */
+    ThreadPool *pool_ = nullptr;
     /** Kernel-latency histograms; null when metrics are disabled. */
     obs::HistogramMetric *compress_hist_ = nullptr;
     obs::HistogramMetric *expand_hist_ = nullptr;

@@ -1,11 +1,15 @@
 /** @file Unit tests for the cDMA engine model. */
 
+#include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "cdma/engine.hh"
 #include "common/rng.hh"
+#include "compress/policy.hh"
 
 namespace cdma {
 namespace {
@@ -105,6 +109,76 @@ TEST(CdmaEngine, AlgorithmSelectionRespected)
     EXPECT_GT(rle_plan.ratio, 1.0);
     EXPECT_GT(zvc_plan.ratio, 1.0);
     EXPECT_GT(zl_plan.ratio, zvc_plan.ratio);
+}
+
+/** Entries of /proc/self/task: the threads this process runs. */
+long
+taskCount()
+{
+    long count = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++count;
+    return count;
+}
+
+TEST(CdmaEngine, OneLanePoolPerEngineInEveryCodecMode)
+{
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "/proc/self/task is not available";
+    // A runtime may start a helper thread along with the process's
+    // first thread (ThreadSanitizer does), so start and join one first.
+    // Threads that earlier code joined can linger in the list for a
+    // moment; start from a count that has settled.
+    std::thread([] {}).join();
+    long base = taskCount();
+    for (int i = 0; i < 100; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const long now = taskCount();
+        if (now == base)
+            break;
+        base = now;
+    }
+    // Both engines stay alive, so no exiting thread skews a count: each
+    // 4-lane engine adds its 3 pool workers, whatever its codec mode.
+    CodecPolicyEngine policy;
+    CdmaConfig fixed = defaultConfig();
+    fixed.compression.lanes = 4;
+    const CdmaEngine fixed_engine(fixed);
+    const long with_fixed = taskCount();
+    CdmaConfig adaptive = fixed;
+    adaptive.compression.mode = CodecMode::Adaptive;
+    adaptive.compression.policy = &policy;
+    const CdmaEngine adaptive_engine(adaptive);
+    const long with_both = taskCount();
+    EXPECT_EQ(with_fixed - base, 3) << "fixed";
+    EXPECT_EQ(with_both - with_fixed, 3) << "adaptive";
+}
+
+TEST(CdmaEngine, OneCodecBankServesEveryLookup)
+{
+    CodecPolicyEngine policy;
+    for (const CodecMode mode : {CodecMode::Fixed, CodecMode::Adaptive}) {
+        for (const unsigned lanes : {1u, 2u}) {
+            CdmaConfig config = defaultConfig(Algorithm::Rle);
+            config.compression.lanes = lanes;
+            config.compression.mode = mode;
+            config.compression.policy = &policy;
+            const CdmaEngine engine(config);
+            EXPECT_EQ(&engine.compressor(),
+                      &engine.compressorFor(Codec::Rle));
+            EXPECT_EQ(engine.compressor().lanes(), lanes);
+            for (const Codec codec : kAllCodecs) {
+                const ParallelCompressor &entry =
+                    engine.compressorFor(codec);
+                EXPECT_EQ(entry.codecTag(), codec) << codecName(codec);
+                EXPECT_EQ(&engine.serialCodec(codec), &entry.serial())
+                    << codecName(codec);
+                EXPECT_EQ(entry.lanes(), engine.compressor().lanes())
+                    << codecName(codec);
+            }
+        }
+    }
 }
 
 TEST(CdmaEngineDeathTest, RejectsSubUnityRatio)

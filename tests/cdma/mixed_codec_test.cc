@@ -44,10 +44,10 @@ makeInput(double density, size_t bytes, uint64_t seed)
 }
 
 /**
- * An adaptive-mode engine over @p kernels with @p lanes lanes: the
- * per-codec compressor bank only exists under CodecMode::Adaptive, so
- * explicit codec overrides are honored there (a Fixed engine routes
- * every request to its one configured compressor).
+ * An adaptive-mode engine over @p kernels with @p lanes lanes. Every
+ * engine carries one compressor per codec, so explicit codec overrides
+ * are honored in either codec mode; the mode only decides whether
+ * planTransfer() asks the policy.
  */
 CdmaConfig
 adaptiveConfig(CodecPolicyEngine &policy, unsigned lanes,
@@ -133,26 +133,22 @@ spilledCodec(const TransferEngine &transfers,
 
 TEST(MixedCodec, OffloadOverrideTagsEveryShard)
 {
+    // The override is honored by an adaptive and by a fixed engine, and
+    // every shard's tag records the codec that actually framed it.
     CodecPolicyEngine policy;
-    const CdmaEngine engine(adaptiveConfig(policy, 2));
-    const TransferEngine transfers(engine);
+    CdmaConfig fixed_config;
+    fixed_config.compression.lanes = 2;
+    fixed_config.transfer.timing_mode = TimingMode::Overlapped;
     const auto input = makeInput(0.4, 1 << 18, 7);
-    for (const Codec codec : kAllCodecs)
-        EXPECT_EQ(spilledCodec(transfers, input, codec), codec);
-}
-
-TEST(MixedCodec, FixedEngineRoutesOverridesToItsOneCompressor)
-{
-    // Pin the fallback contract: without an adaptive bank the override
-    // resolves to the engine's configured compressor, and the shards'
-    // tag says what actually ran — never the ignored request.
-    CdmaConfig config;
-    config.compression.lanes = 2;
-    config.transfer.timing_mode = TimingMode::Overlapped;
-    const CdmaEngine engine(config);
-    const TransferEngine transfers(engine);
-    const auto input = makeInput(0.4, 1 << 16, 9);
-    EXPECT_EQ(spilledCodec(transfers, input, Codec::Rle), Codec::Zvc);
+    for (const CdmaConfig &config :
+         {adaptiveConfig(policy, 2), fixed_config}) {
+        const CdmaEngine engine(config);
+        const TransferEngine transfers(engine);
+        for (const Codec codec : kAllCodecs) {
+            EXPECT_EQ(spilledCodec(transfers, input, codec), codec)
+                << codecModeName(config.compression.mode);
+        }
+    }
 }
 
 TEST(MixedCodec, AdaptiveEngineRoundTripsWhatThePolicyPicks)

@@ -1,8 +1,11 @@
-/** @file Tests for the fork-join worker pool behind ParallelCompressor. */
+/** @file Tests for the worker pool's ordered fork-join fan-out. */
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,13 +15,44 @@
 namespace cdma {
 namespace {
 
+/** Drain that accepts every index and records the order it saw. */
+auto
+recordingDrain(std::vector<uint64_t> &drained)
+{
+    return [&drained](uint64_t i) {
+        drained.push_back(i);
+        return true;
+    };
+}
+
+/** 0, 1, ..., count - 1. */
+std::vector<uint64_t>
+indices(uint64_t count)
+{
+    std::vector<uint64_t> order(count);
+    std::iota(order.begin(), order.end(), 0);
+    return order;
+}
+
 TEST(ThreadPool, SingleLaneRunsInline)
 {
     ThreadPool pool(1);
     EXPECT_EQ(pool.lanes(), 1u);
-    std::vector<uint64_t> order;
-    pool.parallelFor(5, [&](uint64_t i) { order.push_back(i); });
-    EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::string> events;
+    pool.orderedFanOut(
+        5,
+        [&](uint64_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            events.push_back("w" + std::to_string(i));
+        },
+        [&](uint64_t i) {
+            events.push_back("d" + std::to_string(i));
+            return true;
+        });
+    EXPECT_EQ(events,
+              (std::vector<std::string>{"w0", "d0", "w1", "d1", "w2", "d2",
+                                        "w3", "d3", "w4", "d4"}));
 }
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce)
@@ -27,16 +61,25 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce)
     EXPECT_EQ(pool.lanes(), 4u);
     constexpr uint64_t kCount = 10000;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.parallelFor(kCount, [&](uint64_t i) { hits[i].fetch_add(1); });
+    std::vector<uint64_t> drained;
+    pool.orderedFanOut(
+        kCount, [&](uint64_t i) { hits[i].fetch_add(1); },
+        recordingDrain(drained));
     for (uint64_t i = 0; i < kCount; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(drained, indices(kCount));
 }
 
 TEST(ThreadPool, ZeroCountIsANoOp)
 {
     ThreadPool pool(4);
     std::atomic<int> calls{0};
-    pool.parallelFor(0, [&](uint64_t) { calls.fetch_add(1); });
+    pool.orderedFanOut(
+        0, [&](uint64_t) { calls.fetch_add(1); },
+        [&](uint64_t) {
+            calls.fetch_add(1);
+            return true;
+        });
     EXPECT_EQ(calls.load(), 0);
 }
 
@@ -44,9 +87,13 @@ TEST(ThreadPool, FewerItemsThanLanes)
 {
     ThreadPool pool(8);
     std::vector<std::atomic<int>> hits(3);
-    pool.parallelFor(3, [&](uint64_t i) { hits[i].fetch_add(1); });
+    std::vector<uint64_t> drained;
+    pool.orderedFanOut(
+        3, [&](uint64_t i) { hits[i].fetch_add(1); },
+        recordingDrain(drained));
     for (size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1);
+    EXPECT_EQ(drained, indices(3));
 }
 
 TEST(ThreadPool, ReusableAcrossManyDispatches)
@@ -54,8 +101,12 @@ TEST(ThreadPool, ReusableAcrossManyDispatches)
     ThreadPool pool(4);
     for (int round = 0; round < 50; ++round) {
         std::atomic<uint64_t> sum{0};
-        pool.parallelFor(100, [&](uint64_t i) { sum.fetch_add(i + 1); });
+        std::vector<uint64_t> drained;
+        pool.orderedFanOut(
+            100, [&](uint64_t i) { sum.fetch_add(i + 1); },
+            recordingDrain(drained));
         EXPECT_EQ(sum.load(), 100u * 101u / 2);
+        EXPECT_EQ(drained, indices(100)) << "round " << round;
     }
 }
 
@@ -63,38 +114,49 @@ TEST(ThreadPool, WorkerExceptionRethrowsAtRendezvous)
 {
     // A lane body that throws must not kill the worker thread: the
     // first exception is captured, the remaining indices are abandoned,
-    // and the exception surfaces on the calling thread.
+    // nothing from the failing index on is drained, and the exception
+    // surfaces on the calling thread after the join.
     ThreadPool pool(4);
     std::atomic<int> executed{0};
+    std::vector<uint64_t> drained;
     try {
-        pool.parallelFor(10000, [&](uint64_t i) {
-            if (i == 17)
-                throw std::runtime_error("lane failure at 17");
-            executed.fetch_add(1);
-        });
-        FAIL() << "parallelFor swallowed the worker exception";
+        pool.orderedFanOut(
+            10000,
+            [&](uint64_t i) {
+                if (i == 17)
+                    throw std::runtime_error("lane failure at 17");
+                executed.fetch_add(1);
+            },
+            recordingDrain(drained));
+        FAIL() << "orderedFanOut swallowed the worker exception";
     } catch (const std::runtime_error &error) {
         EXPECT_EQ(std::string(error.what()), "lane failure at 17");
     }
     // Abandonment: the dispatch stopped early rather than draining the
     // whole index space behind a poisoned run.
     EXPECT_LT(executed.load(), 10000);
+    EXPECT_LE(drained.size(), 17u);
 }
 
 TEST(ThreadPool, PoolSurvivesAndIsReusableAfterAnException)
 {
     ThreadPool pool(4);
     for (int round = 0; round < 5; ++round) {
-        EXPECT_THROW(pool.parallelFor(64,
-                                      [&](uint64_t i) {
-                                          if (i == 7)
-                                              throw std::runtime_error(
-                                                  "boom");
-                                      }),
+        EXPECT_THROW(pool.orderedFanOut(
+                         64,
+                         [&](uint64_t i) {
+                             if (i == 7)
+                                 throw std::runtime_error("boom");
+                         },
+                         [](uint64_t) { return true; }),
                      std::runtime_error);
         std::atomic<int> calls{0};
-        pool.parallelFor(64, [&](uint64_t) { calls.fetch_add(1); });
+        std::vector<uint64_t> drained;
+        pool.orderedFanOut(
+            64, [&](uint64_t) { calls.fetch_add(1); },
+            recordingDrain(drained));
         EXPECT_EQ(calls.load(), 64) << "round " << round;
+        EXPECT_EQ(drained, indices(64)) << "round " << round;
     }
 }
 
@@ -102,25 +164,33 @@ TEST(ThreadPool, InlineLaneExceptionPropagatesDirectly)
 {
     ThreadPool pool(1);
     std::vector<uint64_t> ran;
-    EXPECT_THROW(pool.parallelFor(5,
-                                  [&](uint64_t i) {
-                                      if (i == 2)
-                                          throw std::logic_error("inline");
-                                      ran.push_back(i);
-                                  }),
+    std::vector<uint64_t> drained;
+    EXPECT_THROW(pool.orderedFanOut(
+                     5,
+                     [&](uint64_t i) {
+                         if (i == 2)
+                             throw std::logic_error("inline");
+                         ran.push_back(i);
+                     },
+                     recordingDrain(drained)),
                  std::logic_error);
-    // Serial semantics: indices before the throwing one ran, later
-    // ones were never reached.
+    // Serial semantics: indices before the throwing one ran and
+    // drained, later ones were never reached.
     EXPECT_EQ(ran, (std::vector<uint64_t>{0, 1}));
+    EXPECT_EQ(drained, (std::vector<uint64_t>{0, 1}));
 }
 
 TEST(ThreadPool, DefaultUsesHardwareConcurrency)
 {
     ThreadPool pool; // lanes = 0 -> hardware concurrency (>= 1)
-    EXPECT_GE(pool.lanes(), 1u);
+    EXPECT_EQ(pool.lanes(),
+              std::max(1u, std::thread::hardware_concurrency()));
     std::atomic<int> calls{0};
-    pool.parallelFor(17, [&](uint64_t) { calls.fetch_add(1); });
+    std::vector<uint64_t> drained;
+    pool.orderedFanOut(
+        17, [&](uint64_t) { calls.fetch_add(1); }, recordingDrain(drained));
     EXPECT_EQ(calls.load(), 17);
+    EXPECT_EQ(drained, indices(17));
 }
 
 } // namespace

@@ -191,7 +191,7 @@ TEST_P(CorruptionSuite, ZeroWindowSizeIsCorruptOnEveryPath)
     // A caller-supplied buffer that frames two windows but no window
     // size. Every decoder must refuse it before dividing by the window
     // size or writing output: the serial codec and the parallel decoder
-    // at one and two lanes (both entry points).
+    // at one and two lanes.
     const Algorithm algorithm = GetParam();
     CompressedBuffer buffer;
     buffer.original_bytes = 8192;
@@ -207,16 +207,63 @@ TEST_P(CorruptionSuite, ZeroWindowSizeIsCorruptOnEveryPath)
         EXPECT_EQ(parallel.decompress(buffer).status().code(),
                   StatusCode::Corrupt)
             << algorithmName(algorithm) << " lanes=" << lanes;
-        ByteVec out(buffer.original_bytes);
-        bool notified = false;
-        const Status status = parallel.decompressShards(
-            buffer, 1, out.data(),
-            [&](const ParallelCompressor::DecompressedShard &) {
-                notified = true;
-            });
-        EXPECT_EQ(status.code(), StatusCode::Corrupt)
-            << algorithmName(algorithm) << " shards lanes=" << lanes;
-        EXPECT_FALSE(notified);
+    }
+}
+
+TEST_P(CorruptionSuite, MalformedFramingIsTheSameStatusOnEveryPath)
+{
+    // Three framing faults of a valid 3-window buffer. Each path runs
+    // one framing check before writing a byte, so the serial codec and
+    // the parallel decoder at every lane count return the same Corrupt
+    // code and message.
+    const Algorithm algorithm = GetParam();
+    const auto input = makeInput(0.45, 3 * 4096, 1005);
+    const CompressedBuffer valid = makeCompressor(algorithm)->compress(input);
+    ASSERT_EQ(valid.window_sizes.size(), 3u);
+
+    struct Shape {
+        const char *name;
+        CompressedBuffer buffer;
+        std::string message;
+    };
+    std::vector<Shape> shapes;
+    CompressedBuffer extra_window = valid;
+    extra_window.window_sizes.push_back(0);
+    shapes.push_back({"extra zero-length window", extra_window,
+                      "window count 4 inconsistent with original size "
+                      "12288"});
+    CompressedBuffer dropped_window = valid;
+    dropped_window.payload.resize(valid.payload.size() -
+                                  valid.window_sizes.back());
+    dropped_window.window_sizes.pop_back();
+    shapes.push_back({"last window dropped", dropped_window,
+                      "window count 2 inconsistent with original size "
+                      "12288"});
+    CompressedBuffer trailing_byte = valid;
+    trailing_byte.payload.push_back(0xAB);
+    shapes.push_back({"trailing payload byte", trailing_byte,
+                      "window sizes cover " +
+                          std::to_string(valid.payload.size()) +
+                          " bytes but the payload has " +
+                          std::to_string(valid.payload.size() + 1)});
+
+    for (const Shape &shape : shapes) {
+        const Status serial =
+            makeCompressor(algorithm)->decompress(shape.buffer).status();
+        EXPECT_EQ(serial.code(), StatusCode::Corrupt)
+            << algorithmName(algorithm) << " " << shape.name;
+        EXPECT_EQ(serial.message(), shape.message)
+            << algorithmName(algorithm) << " " << shape.name;
+        for (const unsigned lanes : {1u, 2u, 4u}) {
+            const ParallelCompressor parallel(algorithm, 4096, lanes);
+            const Status status = parallel.decompress(shape.buffer).status();
+            EXPECT_EQ(status.code(), serial.code())
+                << algorithmName(algorithm) << " " << shape.name
+                << " lanes=" << lanes;
+            EXPECT_EQ(status.message(), serial.message())
+                << algorithmName(algorithm) << " " << shape.name
+                << " lanes=" << lanes;
+        }
     }
 }
 

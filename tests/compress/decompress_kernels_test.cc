@@ -7,8 +7,8 @@
  * zeroFillBytes run reconstruction), guard-page bounds of both ZVC span
  * ops, byte-identity of decompressed
  * output across backends for all three codecs — densities, odd sizes,
- * sub-word tails, 1/2/8 lanes — and the in-order shard-streaming
- * decompression drain.
+ * sub-word tails, 1/2/8 lanes — and the per-lane window groups of
+ * the parallel decoder.
  */
 
 #include <sys/mman.h>
@@ -339,46 +339,27 @@ TEST(DecompressCodecEquivalence, LaneFanOutSharesTheBackendDecision)
     }
 }
 
-TEST(DecompressShards, StreamArrivesInOrderAndReconstructsExactly)
+TEST(DecompressCodecEquivalence, WindowGroupsRestoreExactlyAtEveryLaneCount)
 {
+    // 65 windows, the last one short: one window group per lane (a
+    // single inline group at one lane, uneven groups at 2 and 8) must
+    // land every window in its own slot of the output.
     const auto input = makeWords(0.5, (1 << 18) + 37, 43);
-    const uint64_t windows_per_shard = 5;
     for (unsigned lanes : {1u, 2u, 8u}) {
         const ParallelCompressor compressor(Algorithm::Zvc, 4096, lanes);
         const CompressedBuffer compressed = compressor.compress(input);
-        ByteVec out(input.size());
-        uint64_t expected_index = 0;
-        uint64_t raw_total = 0, wire_total = 0;
-        const Status status = compressor.decompressShards(
-            compressed, windows_per_shard, out.data(),
-            [&](const ParallelCompressor::DecompressedShard &shard) {
-                EXPECT_EQ(shard.index, expected_index++);
-                EXPECT_EQ(shard.first_window,
-                          shard.index * windows_per_shard);
-                EXPECT_EQ(shard.raw_offset,
-                          shard.first_window * 4096);
-                raw_total += shard.raw_bytes;
-                wire_total += shard.wire_bytes;
-            });
-        ASSERT_TRUE(status.ok()) << status.toString();
-        EXPECT_EQ(expected_index, 13u); // ceil(65 windows / 5)
-        EXPECT_EQ(raw_total, input.size());
-        EXPECT_EQ(wire_total, compressed.effectiveBytes());
-        EXPECT_EQ(out, input) << "lanes=" << lanes;
+        ASSERT_EQ(compressed.window_sizes.size(), 65u);
+        const StatusOr<ByteVec> out = compressor.decompress(compressed);
+        ASSERT_TRUE(out.ok()) << out.status().toString();
+        EXPECT_EQ(out.value(), input) << "lanes=" << lanes;
     }
 
-    // Empty buffer: no shards, no output.
+    // Empty buffer: no window groups, no output.
     const ParallelCompressor compressor(Algorithm::Zvc, 4096, 2);
-    const CompressedBuffer empty = compressor.compress({});
-    bool called = false;
-    ASSERT_TRUE(compressor
-                    .decompressShards(
-                        empty, windows_per_shard, nullptr,
-                        [&](const ParallelCompressor::DecompressedShard &) {
-                            called = true;
-                        })
-                    .ok());
-    EXPECT_FALSE(called);
+    const StatusOr<ByteVec> empty =
+        compressor.decompress(compressor.compress({}));
+    ASSERT_TRUE(empty.ok()) << empty.status().toString();
+    EXPECT_TRUE(empty.value().empty());
 }
 
 } // namespace

@@ -281,31 +281,6 @@ TEST(ShardFanOut, ThrowingConsumerJoinsWorkersAndRethrows)
                     "post-exception fan-out");
 }
 
-TEST(ShardFanOut, ThrowingConsumerOnDecompressJoinsAndRethrows)
-{
-    const ParallelCompressor parallel(Algorithm::Zvc, 4096, 4);
-    const auto input = makeInput(0.4, 64 * 4096, 42);
-    const CompressedBuffer buffer = parallel.compress(input);
-
-    ByteVec out(input.size());
-    EXPECT_THROW(
-        parallel.decompressShards(
-            buffer, 2, out.data(),
-            [&](const ParallelCompressor::DecompressedShard &shard) {
-                if (shard.index == 1)
-                    throw std::runtime_error("prefetch consumer failed");
-            }),
-        std::runtime_error);
-
-    // Reusable afterward, and the round trip is still lossless.
-    ByteVec again(input.size());
-    const Status status = parallel.decompressShards(
-        buffer, 2, again.data(),
-        [](const ParallelCompressor::DecompressedShard &) {});
-    ASSERT_TRUE(status.ok()) << status.toString();
-    EXPECT_EQ(again, ByteVec(input.begin(), input.end()));
-}
-
 TEST(ShardFanOut, CallingThreadWorksShards)
 {
     // At 2 lanes the caller is one of the two lanes: while the next
