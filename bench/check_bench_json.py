@@ -43,7 +43,10 @@ library, not the cdma code.)
 
 ``--self-test`` proves the gate actually trips: it injects a 2x
 slowdown into one gated row of the committed report and fails unless
-the comparison catches it (and passes an unmodified copy). It also
+the comparison catches it (and passes an unmodified copy). It does
+the same to ``BM_Crc32Hw``, which measures the dispatched CRC and so
+compares only under the same dispatch: the slowdown must trip the gate,
+and must be skipped once the copy claims another backend. It also
 replays the last single-chain CRC rows (7.35 GB/s against
 10.85 GB/s) into a copy and requires the framing bound to trip, and
 requires a copy marked unoptimized to be rejected; copies that meet
@@ -111,7 +114,11 @@ SINGLE_CHAIN_CRC_ROWS = {CRC_HW_FAMILY: 7345373484.769981,
 # Widest first: the silent-fallback check expects the dispatcher to
 # pick the widest backend the producing host supports.
 KNOWN_BACKENDS = ("avx512", "avx2", "scalar")
-BACKEND_SUFFIXES = ("Scalar", "Avx512", "Avx2", "Hw")
+# Family suffixes that pin a backend. ``Hw`` pins none: BM_Crc32Hw
+# measures the dispatched CRC-32C (the 512-bit fold on avx512 with
+# VPCLMULQDQ, three crc32q chains otherwise), so it is a dispatch row;
+# BM_Crc32{Scalar,Avx2,Avx512} keep the per-backend coverage.
+BACKEND_SUFFIXES = ("Scalar", "Avx512", "Avx2")
 KNOWN_DUPLEX_MODES = ("full_duplex", "half_duplex")
 NAME_RE = re.compile(r"^BM_([A-Za-z0-9]+?)(Compress|Decompress|CycleModel|"
                      r"EngineCycleModel|TransferModel(?:Full|Half))?"
@@ -406,7 +413,7 @@ def row_backend(family: str) -> str:
     """Backend a family name pins, or '' for runtime-dispatch rows."""
     for suffix in BACKEND_SUFFIXES:
         if family.endswith(suffix):
-            return suffix.lower() if suffix != "Hw" else "avx2"
+            return suffix.lower()
     return ""
 
 
@@ -526,6 +533,30 @@ def self_test(path: str, tolerance: float) -> None:
     if gated == 0:
         fail("self-test: gate compared zero rows of an identical report")
 
+    # BM_Crc32Hw is a dispatch row: a 2x slowdown under the same
+    # dispatch still trips the gate, while a report that dispatched
+    # another backend (forced avx2 against an avx512 trajectory reads
+    # about 0.5x) skips the row instead of failing it.
+    crc_hw = next((name for name in throughput_rows(report)
+                   if name.split("/")[0] == CRC_HW_FAMILY), None)
+    if crc_hw is None:
+        fail(f"self-test: {path} lacks the {CRC_HW_FAMILY} row")
+    crc_slowed = copy.deepcopy(report)
+    for entry in crc_slowed["benchmarks"]:
+        if entry.get("name") == crc_hw:
+            entry["bytes_per_second"] /= 2.0
+    caught, _, _ = gate_regressions(report, crc_slowed, tolerance, [])
+    if not [r for r in caught if r[0] == crc_hw]:
+        fail(f"self-test: gate MISSED a same-backend 2x slowdown on "
+             f"{crc_hw} at tolerance {tolerance:.0%}")
+    base_backend = report.get("context", {}).get("kernel_backend")
+    other = next(b for b in KNOWN_BACKENDS if b != base_backend)
+    crc_slowed["context"]["kernel_backend"] = other
+    caught, _, _ = gate_regressions(report, crc_slowed, tolerance, [])
+    if [r for r in caught if r[0] == crc_hw]:
+        fail(f"self-test: gate failed {crc_hw} of a {other}-dispatch "
+             f"report against a {base_backend}-dispatch baseline")
+
     # The framing bound and the build check, on mutated copies of the
     # report: each must pass a copy that meets it and fail one that
     # does not (the single-chain CRC rows replayed, the cdma code
@@ -560,8 +591,9 @@ def self_test(path: str, tolerance: float) -> None:
 
     print(f"check_bench_json: self-test OK (injected 2x slowdown on "
           f"{victim} caught at {tolerance:.0%}; identical report passes "
-          f"{gated} rows; single-chain CRC rows fail the framing bound; "
-          "an unoptimized report is rejected)")
+          f"{gated} rows; {crc_hw} gated only under the same dispatch; "
+          "single-chain CRC rows fail the framing bound; an unoptimized "
+          "report is rejected)")
 
 
 def main() -> None:

@@ -158,7 +158,7 @@ main(int argc, char **argv)
 
     // 2. Compress the real activation maps. The ZV column runs the
     //    offload-side flow a framework would: each map spills through
-    //    the compressed arena (recycled shard slots, no per-layer
+    //    the compressed arena (recycled rooms, no per-layer
     //    payload vector), and the simulated backward pass below
     //    prefetches it back out.
     CdmaConfig spill_config;
@@ -218,14 +218,14 @@ main(int argc, char **argv)
     const SpillStats &spill = arena.stats();
     std::printf("\nspill arena round trip: %zu ZV maps restored %s; "
                 "high water %.1f KB compressed, %llu slabs, %llu/%llu "
-                "shard stores from recycled slots\n",
+                "rooms from recycled slots\n",
                 tickets.size(),
                 restored_ok ? "byte-identical" : "MISMATCH",
                 static_cast<double>(spill.high_water_payload_bytes) /
                     1024.0,
                 static_cast<unsigned long long>(spill.slab_allocations),
                 static_cast<unsigned long long>(spill.reused_slots),
-                static_cast<unsigned long long>(spill.stored_shards));
+                static_cast<unsigned long long>(spill.reserved_rooms));
 
     // In smoke mode the integrity gate is the whole point: rerun the
     // round trip on a faulty link and make the exit code depend on the

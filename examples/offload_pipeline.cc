@@ -200,7 +200,7 @@ main(int argc, char **argv)
                 100.0 * worst_fraction, worst_layer.c_str());
 
     // 3b. Real bytes through the compressed spill arena: offload each
-    //     sampled activation map into recycled shard slots, then
+    //     sampled activation map into a recycled room, then
     //     prefetch it back on the "backward pass" and verify identity.
     //     The high-water mark is what a pinned host reservation for the
     //     spill space would need; steady-state iterations reuse it.
@@ -248,7 +248,7 @@ main(int argc, char **argv)
                 restored_ok ? "byte-identical" : "MISMATCH");
     std::printf("  high water %.1f KB compressed in %llu slabs "
                 "(%.1f KB reserved, all on iteration 1: %llu new slabs "
-                "on iteration 2), %llu/%llu shard stores from recycled "
+                "on iteration 2), %llu/%llu rooms from recycled "
                 "slots\n\n",
                 static_cast<double>(spill.high_water_payload_bytes) /
                     1024.0,
@@ -257,7 +257,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(spill.slab_allocations -
                                                 first_iter_slabs),
                 static_cast<unsigned long long>(spill.reused_slots),
-                static_cast<unsigned long long>(spill.stored_shards));
+                static_cast<unsigned long long>(spill.reserved_rooms));
 
     // 3c. The same ticket flow over a faulty link: a seeded fault
     //     process flips bits (and occasionally drops crossings), the

@@ -87,28 +87,30 @@ crossingLanded(const sim::FaultOutcome &outcome,
 }
 
 /**
- * Downgrade @p shard to raw framing: the payload becomes the shard's
- * uncompressed source bytes (no decode step can fail on the far side),
- * the per-window sizes become raw sizes, and the CRC is re-framed over
- * the new payload — the robustness analogue of store-raw.
+ * Downgrade @p shard to raw framing in place: its region of @p room is
+ * rewritten with the shard's uncompressed source bytes (raw bytes never
+ * exceed the codec's bound, so they fit the region the compressed form
+ * was given, and no decode step can fail on the far side), its framing
+ * entries become raw window sizes, and the CRC is re-framed over the
+ * new payload — the robustness analogue of store-raw.
  */
 void
-degradeToRaw(CompressedShard &shard, std::span<const uint8_t> data,
-             uint64_t window_bytes, const KernelOps &kernels)
+degradeToRaw(RoomShard &shard, const SpillRoom &room,
+             std::span<const uint8_t> data, uint64_t window_bytes,
+             const KernelOps &kernels)
 {
-    const uint64_t begin = shard.first_window * window_bytes;
-    shard.payload.assign(
-        data.begin() + static_cast<ptrdiff_t>(begin),
-        data.begin() + static_cast<ptrdiff_t>(begin + shard.raw_bytes));
+    uint8_t *payload = room.bytes.data() + shard.offset;
+    std::memcpy(payload, data.data() + shard.first_window * window_bytes,
+                shard.raw_bytes);
     uint64_t remaining = shard.raw_bytes;
-    for (uint32_t &size : shard.window_sizes) {
+    for (uint32_t &size :
+         room.window_sizes.subspan(shard.first_window, shard.window_count)) {
         size = static_cast<uint32_t>(
             std::min<uint64_t>(window_bytes, remaining));
         remaining -= size;
     }
-    shard.raw_framed = true;
-    shard.crc32c =
-        kernels.crc32(0, shard.payload.data(), shard.payload.size());
+    shard.payload_bytes = shard.raw_bytes;
+    shard.crc32c = kernels.crc32(0, payload, shard.payload_bytes);
 }
 
 /**
@@ -185,10 +187,38 @@ TransferEngine::TransferEngine(const CdmaEngine &engine)
 
 namespace {
 
+/** Releases an offload's spill on every exit but success — a shard
+ *  that burned its retry budget, or an exception rethrown from a lane —
+ *  so a reserved room never leaks. */
+template <typename Arena>
+class SpillGuard
+{
+  public:
+    SpillGuard(Arena &arena, SpillTicket ticket)
+        : arena_(arena), ticket_(ticket)
+    {
+    }
+    ~SpillGuard()
+    {
+        if (armed_)
+            arena_.release(ticket_);
+    }
+    SpillGuard(const SpillGuard &) = delete;
+    SpillGuard &operator=(const SpillGuard &) = delete;
+
+    /** The spill succeeded: the caller owns its ticket. */
+    void keep() { armed_ = false; }
+
+  private:
+    Arena &arena_;
+    SpillTicket ticket_;
+    bool armed_ = true;
+};
+
 /**
- * The streaming offload drain, generic over the spill store (plain
- * SpillArena or the two-tier TieredSpillArena — both expose the same
- * beginSpill / appendShard / release surface). Uses only the engine's
+ * The streaming offload, generic over the spill store (plain SpillArena
+ * or the two-tier TieredSpillArena — both expose the same beginSpill /
+ * reserveRoom / commitShard / release surface). Uses only the engine's
  * public API so the template can live at file scope.
  */
 template <typename Arena>
@@ -203,37 +233,51 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
     sim::FaultInjector *injector = config.transfer.fault_injector;
     const RetryPolicy &retry = config.transfer.retry;
     const KernelOps &kernels = compressor.serial().kernels();
-    const uint64_t shard_windows = te.shardWindows();
+    const uint64_t window_bytes = config.compression.window_bytes;
+    const uint64_t windows = ceilDiv(data.size(), window_bytes);
 
     SpilledOffload result;
-    result.ticket = arena.beginSpill(data.size(), config.compression.window_bytes);
-    result.shards.reserve(
-        ceilDiv(ceilDiv(data.size(), config.compression.window_bytes),
-                shard_windows));
+    result.ticket = arena.beginSpill(data.size(), window_bytes);
+    SpillGuard guard(arena, result.ticket);
+    result.shards.reserve(ceilDiv(windows, te.shardWindows()));
+    // The arena is the compression destination: one room sized for
+    // every window's worst case, which the lanes fill in place (each
+    // shard at its bound-strided offset, its window sizes straight into
+    // the spill's framing, its CRC-32C computed on the lane).
+    const SpillRoom room = arena.reserveRoom(
+        result.ticket,
+        compressor.serial().payloadBound(data.size(), 0, windows), windows);
 
-    // The consumer is the staging drain: it lands each shard in a
-    // recycled arena slot while the lanes compress later shards. The
-    // drain is also where the shard crosses the wire, so the fault
-    // process (if any) is sampled here, crossing by crossing: a damaged
-    // crossing is caught by the length/CRC framing checks and re-sent,
-    // degrading to raw framing and finally giving up per the
-    // RetryPolicy. The drain runs serially on this thread in shard
-    // order, which keeps the injector's draw sequence deterministic.
+    // The drain is the staging step: it runs on this thread in shard
+    // order while the lanes compress later shards, and it is where the
+    // shard crosses the wire, so the fault process (if any) is sampled
+    // here, crossing by crossing. A damaged crossing is caught by the
+    // length/CRC framing checks and re-sent, degrading to raw framing
+    // in place and finally giving up per the RetryPolicy; serial
+    // sampling keeps the injector's draw sequence deterministic. A
+    // shard that lands is committed at its real size.
     Status fault_error;
-    compressor.compressShards(
-        data, shard_windows, [&](CompressedShard &&shard) {
-            if (!fault_error.ok())
-                return; // an earlier shard burned its retry budget
+    compressor.compressShardsInto(
+        data, te.shardWindows(), room.bytes, room.window_sizes,
+        [&](const RoomShard &compressed) {
+            RoomShard shard = compressed;
+            const std::span<const uint32_t> framing =
+                room.window_sizes.subspan(shard.first_window,
+                                          shard.window_count);
+            bool raw_framed = false;
             ShardTransfer xfer;
             xfer.raw_bytes = shard.raw_bytes;
-            xfer.wire_bytes = shard.effectiveBytes(config.compression.window_bytes);
+            xfer.wire_bytes =
+                storeRawFlooredBytes(framing, shard.raw_bytes, window_bytes);
             uint32_t attempts = 0;
             while (injector != nullptr) {
                 ++attempts;
+                const std::span<const uint8_t> payload =
+                    room.bytes.subspan(shard.offset, shard.payload_bytes);
                 const sim::FaultOutcome outcome =
-                    injector->sample(shard.payload.size());
-                if (crossingLanded(outcome, shard.payload, shard.crc32c,
-                                   kernels, result.integrity)) {
+                    injector->sample(payload.size());
+                if (crossingLanded(outcome, payload, shard.crc32c, kernels,
+                                   result.integrity)) {
                     break;
                 }
                 traceRejectedCrossing(config.obs.integrity_trace,
@@ -245,15 +289,14 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
                         "offload shard %llu dropped after %u crossings",
                         static_cast<unsigned long long>(shard.index),
                         attempts);
-                    return;
+                    return false;
                 }
                 ++result.integrity.retries;
-                if (!shard.raw_framed &&
-                    attempts >= retry.raw_fallback_after) {
-                    degradeToRaw(shard, data, config.compression.window_bytes,
-                                 kernels);
-                    xfer.wire_bytes =
-                        shard.effectiveBytes(config.compression.window_bytes);
+                if (!raw_framed && attempts >= retry.raw_fallback_after) {
+                    degradeToRaw(shard, room, data, window_bytes, kernels);
+                    raw_framed = true;
+                    xfer.wire_bytes = storeRawFlooredBytes(
+                        framing, shard.raw_bytes, window_bytes);
                     xfer.degraded = true;
                     ++result.integrity.degraded_shards;
                 }
@@ -262,15 +305,27 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
             result.integrity.attempts += xfer.attempts;
             result.integrity.failed_wire_bytes += xfer.failed_wire_bytes;
             result.shards.push_back(xfer);
-            arena.appendShard(result.ticket, shard);
+
+            ShardCommit commit;
+            commit.room = room.id;
+            commit.offset = shard.offset;
+            commit.payload_bytes = shard.payload_bytes;
+            commit.window_begin = room.window_begin + shard.first_window;
+            commit.window_count = shard.window_count;
+            commit.first_window = shard.first_window;
+            commit.raw_bytes = shard.raw_bytes;
+            commit.crc32c = shard.crc32c;
+            commit.raw_framed = raw_framed;
+            commit.codec = compressor.codecTag();
+            arena.commitShard(result.ticket, commit);
+            return true;
         });
 
-    if (!fault_error.ok()) {
-        // The partially filled spill is useless to the caller; return
-        // its slots so the error path leaks nothing.
-        arena.release(result.ticket);
+    // A shard burned its retry budget: the guard returns the partial
+    // spill's room, so the error path leaks nothing.
+    if (!fault_error.ok())
         return fault_error;
-    }
+    guard.keep();
     sealSpill(arena, result.ticket);
     result.timing = te.duplexTiming(result.shards, {}).offload;
     result.integrity.retry_stall_seconds =

@@ -259,18 +259,22 @@ class TransferEngine
     // ---- Real-bytes flows ----
 
     /**
-     * Offload @p data into @p arena: shards stream from the compression
-     * lanes straight into recycled arena slots (no stitched
-     * CompressedBuffer, no per-layer payload allocation in steady
-     * state). The returned ticket holds the compressed activations
-     * until the backward pass prefetches and releases them.
+     * Offload @p data into @p arena: the spill reserves one room sized
+     * for every window's worst case, and the compression lanes write
+     * their shards straight into it (no per-shard payload, no copy, no
+     * per-layer allocation in steady state); the calling thread commits
+     * each shard's real size in shard order. The returned ticket holds
+     * the compressed activations until the backward pass prefetches and
+     * releases them.
      *
      * With a fault injector configured, each shard's host-bound wire
      * crossing samples the fault process: damaged crossings are caught
      * by the length/CRC-32C framing checks and re-sent under the
-     * engine's RetryPolicy (degrading to raw framing after repeated
-     * failures). Returns Status::retryExhausted — with the partially
-     * filled ticket released — when a shard burns every attempt.
+     * engine's RetryPolicy (after repeated failures the shard is
+     * rewritten to raw framing in place). Returns
+     * Status::retryExhausted when a shard burns every attempt. On that
+     * and every other exit but success (an exception rethrown from a
+     * lane included) the spill and its room are released.
      *
      * @p codec overrides the engine's configured codec for this
      * transfer (the adaptive policy's choice), in either codec mode;

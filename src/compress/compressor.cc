@@ -22,7 +22,7 @@ CompressedBuffer::ratio() const
 }
 
 uint64_t
-storeRawFlooredBytes(const std::vector<uint32_t> &window_sizes,
+storeRawFlooredBytes(std::span<const uint32_t> window_sizes,
                      uint64_t raw_bytes, uint64_t window_bytes)
 {
     uint64_t total = 0;
@@ -62,8 +62,48 @@ uint64_t
 Compressor::compressedBound(uint64_t raw_len) const
 {
     // Conservative generic bound; the concrete codecs override with their
-    // exact worst case. Only affects reserve(), never correctness.
+    // exact worst case. It covers the raw window too (raw <= bound).
     return 2 * raw_len + 64;
+}
+
+void
+Compressor::compressWindowInto(std::span<const uint8_t> window,
+                               ByteVec &out) const
+{
+    const size_t base = out.size();
+    out.resize(base + compressedBound(window.size()));
+    out.resize(base + compressWindowTo(window, out.data() + base));
+}
+
+uint64_t
+Compressor::payloadBound(uint64_t input_bytes, uint64_t first,
+                         uint64_t last) const
+{
+    if (first >= last)
+        return 0;
+    // Only the input's final window can be short.
+    if (last * window_bytes_ <= input_bytes)
+        return (last - first) * compressedBound(window_bytes_);
+    return (last - first - 1) * compressedBound(window_bytes_) +
+        compressedBound(input_bytes - (last - 1) * window_bytes_);
+}
+
+uint64_t
+Compressor::compressWindows(std::span<const uint8_t> input, uint64_t first,
+                            uint64_t last, uint8_t *dst,
+                            uint32_t *window_sizes) const
+{
+    uint64_t written = 0;
+    for (uint64_t w = first; w < last; ++w) {
+        const uint64_t offset = w * window_bytes_;
+        const uint64_t len =
+            std::min<uint64_t>(window_bytes_, input.size() - offset);
+        const uint64_t bytes =
+            compressWindowTo(input.subspan(offset, len), dst + written);
+        window_sizes[w - first] = static_cast<uint32_t>(bytes);
+        written += bytes;
+    }
+    return written;
 }
 
 CompressedBuffer
@@ -74,26 +114,13 @@ Compressor::compress(std::span<const uint8_t> input) const
     out.window_bytes = window_bytes_;
     out.codec = codecFromName(name());
 
+    // Sized to the whole-buffer worst case once (ByteVec: no zero-fill)
+    // and trimmed once: every window compresses straight into place.
     const uint64_t windows = ceilDiv(input.size(), window_bytes_);
-    out.window_sizes.reserve(windows);
-    // Reserve the whole-buffer worst case once so the per-window streaming
-    // appends below never reallocate or copy previous windows.
-    if (windows > 0) {
-        const uint64_t full = (windows - 1) * compressedBound(window_bytes_);
-        const uint64_t last = compressedBound(
-            input.size() - (windows - 1) * window_bytes_);
-        out.payload.reserve(full + last);
-    }
-
-    for (uint64_t offset = 0; offset < input.size();
-         offset += window_bytes_) {
-        const uint64_t len =
-            std::min<uint64_t>(window_bytes_, input.size() - offset);
-        const size_t before = out.payload.size();
-        compressWindowInto(input.subspan(offset, len), out.payload);
-        out.window_sizes.push_back(
-            static_cast<uint32_t>(out.payload.size() - before));
-    }
+    out.window_sizes.resize(windows);
+    out.payload.resize(payloadBound(input.size(), 0, windows));
+    out.payload.resize(compressWindows(input, 0, windows, out.payload.data(),
+                                       out.window_sizes.data()));
     return out;
 }
 
@@ -237,11 +264,12 @@ codecFromName(const std::string &name)
     panic("unknown codec tag \"%s\"", name.c_str());
 }
 
-void
-RawCompressor::compressWindowInto(std::span<const uint8_t> window,
-                                  ByteVec &out) const
+uint64_t
+RawCompressor::compressWindowTo(std::span<const uint8_t> window,
+                                uint8_t *dst) const
 {
-    out.insert(out.end(), window.begin(), window.end());
+    std::memcpy(dst, window.data(), window.size());
+    return window.size();
 }
 
 Status

@@ -7,13 +7,14 @@
  * windows (4 KB by default, Section VII-A) and each window is compressed
  * independently, mirroring the hardware which operates on bounded buffers.
  *
- * The hot path is the streaming scratch-buffer API: compressWindowInto()
- * appends a window's payload directly into a shared output vector and
- * decompressWindowInto() reconstructs into a caller-provided region, so
- * the per-window allocation and concatenation copies of the original
- * return-by-value virtuals never happen. Those legacy virtuals (and the
- * compatibility shims that bridged the two forms) are gone: the
- * streaming pair is the one window interface a codec implements.
+ * A codec implements one window pair: compressWindowTo() writes a
+ * window's payload straight into the caller's memory, which holds the
+ * window's compressedBound(), and decompressWindowInto() reconstructs
+ * into a caller-provided region. Writers therefore compress into their
+ * destination: a whole buffer, a ParallelCompressor shard, or a room
+ * of the spill arena, with no staging vector in between. The
+ * ByteVec-append form (compressWindowInto()) and the window loop
+ * (compressWindows()) are base-class helpers over that one virtual.
  */
 
 #ifndef CDMA_COMPRESS_COMPRESSOR_HH
@@ -73,7 +74,7 @@ Codec codecFromName(const std::string &name);
  * transfer engine's per-shard accounting so the fallback rule lives in
  * one place.
  */
-uint64_t storeRawFlooredBytes(const std::vector<uint32_t> &window_sizes,
+uint64_t storeRawFlooredBytes(std::span<const uint32_t> window_sizes,
                               uint64_t raw_bytes, uint64_t window_bytes);
 
 /**
@@ -128,9 +129,9 @@ Status checkBufferFraming(const CompressedBuffer &buffer);
 /**
  * Interface for a windowed lossless compressor.
  *
- * Subclasses implement the streaming pair compressWindowInto() /
- * decompressWindowInto(); the base class handles splitting, framing and
- * pre-sizing.
+ * Subclasses implement the window pair compressWindowTo() /
+ * decompressWindowInto() and their compressedBound(); the base class
+ * handles splitting, framing and sizing.
  */
 class Compressor
 {
@@ -189,16 +190,41 @@ class Compressor
     double measureRatio(std::span<const uint8_t> input) const;
 
     /**
-     * Streaming core: compress one window (at most windowBytes() long),
-     * appending the payload to @p out. Only appends — bytes already in
-     * @p out are preserved, so windows stream directly into the shared
-     * CompressedBuffer::payload with no intermediate vector. Thread-safe:
-     * may be called concurrently on distinct @p out buffers. @p out is a
-     * ByteVec so resize-to-bound staging never value-initializes bytes
-     * the codec is about to overwrite.
+     * Streaming core: compress one window (at most windowBytes() long)
+     * into @p dst and return the payload bytes written. @p dst holds
+     * compressedBound(window.size()) bytes, and the codec may use all
+     * of them as scratch: bytes past the returned size are unspecified.
+     * Thread-safe on distinct @p dst regions.
      */
-    virtual void compressWindowInto(std::span<const uint8_t> window,
-                                    ByteVec &out) const = 0;
+    virtual uint64_t compressWindowTo(std::span<const uint8_t> window,
+                                      uint8_t *dst) const = 0;
+
+    /**
+     * compressWindowTo() appending to @p out: bytes already in @p out
+     * are preserved. The ByteVec grows to the bound without a
+     * zero-fill and is trimmed to the payload.
+     */
+    void compressWindowInto(std::span<const uint8_t> window,
+                            ByteVec &out) const;
+
+    /**
+     * Compress windows [first, last) of @p input back to back into
+     * @p dst, which holds payloadBound(input.size(), first, last)
+     * bytes, and write each window's payload size to
+     * @p window_sizes[w - first]. Returns the payload bytes written.
+     * Thread-safe on disjoint destinations: the one window loop behind
+     * compress() and every ParallelCompressor shard.
+     */
+    uint64_t compressWindows(std::span<const uint8_t> input, uint64_t first,
+                             uint64_t last, uint8_t *dst,
+                             uint32_t *window_sizes) const;
+
+    /**
+     * Worst-case payload of windows [first, last) of an
+     * @p input_bytes input: the sum of their compressedBound().
+     */
+    uint64_t payloadBound(uint64_t input_bytes, uint64_t first,
+                          uint64_t last) const;
 
     /**
      * Streaming core: decompress one window payload into the
@@ -213,9 +239,11 @@ class Compressor
                                         uint8_t *out) const = 0;
 
     /**
-     * Upper bound on the compressed size of a window of @p raw_len bytes,
-     * used to pre-reserve payload capacity so streaming appends never
-     * reallocate. Must be >= the size compressWindowInto() appends.
+     * Upper bound on the compressed size of a window of @p raw_len
+     * bytes: the room a writer gives compressWindowTo(). Must be >= the
+     * size compressWindowTo() writes (and the scratch it touches), and
+     * >= @p raw_len, so a shard degraded to raw framing is rewritten in
+     * place in the room its compressed form was given.
      */
     virtual uint64_t compressedBound(uint64_t raw_len) const;
 
@@ -266,8 +294,8 @@ class RawCompressor : public Compressor
 
     std::string name() const override { return "raw"; }
 
-    void compressWindowInto(std::span<const uint8_t> window,
-                            ByteVec &out) const override;
+    uint64_t compressWindowTo(std::span<const uint8_t> window,
+                              uint8_t *dst) const override;
 
     Status decompressWindowInto(std::span<const uint8_t> payload,
                                 uint64_t original_bytes,

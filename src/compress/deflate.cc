@@ -143,6 +143,7 @@ struct DeflateScratch {
     std::vector<uint8_t> dist_lengths;
     HuffmanEncoder litlen_enc;
     HuffmanEncoder dist_enc;
+    ByteVec out; ///< the BitWriter's growing output
 };
 
 /**
@@ -162,9 +163,9 @@ struct DeflateDecodeScratch {
 
 } // namespace
 
-void
-DeflateCompressor::compressWindowInto(std::span<const uint8_t> window,
-                                      ByteVec &out) const
+uint64_t
+DeflateCompressor::compressWindowTo(std::span<const uint8_t> window,
+                                    uint8_t *dst) const
 {
     static thread_local DeflateScratch scratch;
     const auto &tokens =
@@ -198,9 +199,11 @@ DeflateCompressor::compressWindowInto(std::span<const uint8_t> window,
     const HuffmanEncoder &litlen_enc = scratch.litlen_enc;
     const HuffmanEncoder &dist_enc = scratch.dist_enc;
 
-    // Pass 2: header (code-length tables) then the token stream, written
-    // directly into the shared payload.
-    BitWriter writer(out);
+    // Pass 2: header (code-length tables) then the token stream. ZL
+    // alone keeps a growing BitWriter output (in the per-thread scratch)
+    // and copies it to the caller's room once.
+    scratch.out.clear();
+    BitWriter writer(scratch.out);
     writeLengths(writer, litlen_lengths);
     writeLengths(writer, dist_lengths);
 
@@ -224,6 +227,13 @@ DeflateCompressor::compressWindowInto(std::span<const uint8_t> window,
     }
     litlen_enc.encode(writer, kEndOfBlock);
     writer.flush();
+    CDMA_ASSERT(scratch.out.size() <= compressedBound(window.size()),
+                "ZL window of %zu bytes overran its %llu-byte bound",
+                window.size(),
+                static_cast<unsigned long long>(
+                    compressedBound(window.size())));
+    std::memcpy(dst, scratch.out.data(), scratch.out.size());
+    return scratch.out.size();
 }
 
 Status

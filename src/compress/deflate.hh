@@ -43,12 +43,13 @@ class DeflateCompressor : public Compressor
      * Streaming codec: the LZ77 tokenizer runs through the kernel
      * backend's match-extension scan into a per-thread reusable scratch
      * (no token-vector allocation per window), the encoder's BitWriter
-     * appends straight into the shared payload vector, and the decoder
+     * grows a per-thread scratch vector that is copied to the caller's
+     * room once per window, and the decoder
      * writes literals/matches into the caller's region, copying
      * non-overlapping matches with memcpy.
      */
-    void compressWindowInto(std::span<const uint8_t> window,
-                            ByteVec &out) const override;
+    uint64_t compressWindowTo(std::span<const uint8_t> window,
+                              uint8_t *dst) const override;
 
     Status decompressWindowInto(std::span<const uint8_t> payload,
                                 uint64_t original_bytes,

@@ -1,6 +1,7 @@
 #include "compress/parallel.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/bits.hh"
@@ -64,17 +65,28 @@ ParallelCompressor::laneShardWindows(uint64_t windows) const
     return std::max<uint64_t>(1, ceilDiv(windows, lanes()));
 }
 
-uint64_t
-ParallelCompressor::payloadBound(uint64_t input_bytes, uint64_t first,
-                                 uint64_t last) const
+RoomShard
+ParallelCompressor::compressShardTo(std::span<const uint8_t> input,
+                                    uint64_t s, uint64_t windows_per_shard,
+                                    uint8_t *dst,
+                                    uint32_t *window_sizes) const
 {
+    // Wall-clock kernel timing (real elapsed time, also on worker
+    // lanes); a null histogram disarms the timer.
+    const obs::ScopedTimer timer(compress_hist_);
     const uint64_t window_bytes = codec_->windowBytes();
-    uint64_t bound = 0;
-    for (uint64_t w = first; w < last; ++w) {
-        bound += codec_->compressedBound(
-            std::min<uint64_t>(window_bytes, input_bytes - w * window_bytes));
-    }
-    return bound;
+    const uint64_t windows = ceilDiv(input.size(), window_bytes);
+    RoomShard shard;
+    shard.index = s;
+    shard.first_window = s * windows_per_shard;
+    const uint64_t last =
+        std::min(windows, shard.first_window + windows_per_shard);
+    shard.window_count = last - shard.first_window;
+    shard.raw_bytes = std::min<uint64_t>(input.size(), last * window_bytes) -
+        shard.first_window * window_bytes;
+    shard.payload_bytes = codec_->compressWindows(
+        input, shard.first_window, last, dst, window_sizes);
+    return shard;
 }
 
 CompressedBuffer
@@ -84,71 +96,40 @@ ParallelCompressor::compress(std::span<const uint8_t> input) const
     const uint64_t windows = ceilDiv(input.size(), window_bytes);
     const uint64_t per_shard = laneShardWindows(windows);
     const uint64_t shards = ceilDiv(windows, per_shard);
+    const uint64_t stride = codec_->compressedBound(window_bytes);
 
     CompressedBuffer out;
     out.original_bytes = input.size();
     out.window_bytes = window_bytes;
     out.codec = codec_tag_;
+    out.window_sizes.resize(windows);
+    out.payload.resize(codec_->payloadBound(input.size(), 0, windows));
+    uint8_t *const payload = out.payload.data();
 
-    // Shard 0 compresses into room reserved for the whole buffer, so the
-    // drain adopts it without a copy (at one lane it is the whole
-    // buffer) and appends every later shard in place with a bulk copy.
-    std::vector<CompressedShard> results(shards);
-    if (shards > 0) {
-        results[0].payload.reserve(payloadBound(input.size(), 0, windows));
-        results[0].window_sizes.reserve(windows);
-    }
+    // Every shard compresses at its bound-strided start, and the drain
+    // moves it down to where the shards before it ended. The move never
+    // reaches past the shard's own worst case, so it never touches a
+    // later shard a lane may still be writing.
+    std::vector<uint64_t> sizes(shards);
+    uint64_t end = 0;
     runOrderedShardFanOut(
         shards,
         [&](uint64_t s) {
-            // Wall-clock kernel timing (real elapsed time, also on
-            // worker lanes); a null histogram disarms the timer.
-            const obs::ScopedTimer timer(compress_hist_);
             const uint64_t first = s * per_shard;
-            compressShardInto(input, first,
-                              std::min(windows, first + per_shard),
-                              results[s]);
+            sizes[s] = compressShardTo(input, s, per_shard,
+                                       payload + first * stride,
+                                       out.window_sizes.data() + first)
+                           .payload_bytes;
         },
         [&](uint64_t s) {
-            CompressedShard shard = std::move(results[s]);
-            if (s == 0) {
-                out.payload = std::move(shard.payload);
-                out.window_sizes = std::move(shard.window_sizes);
-            } else {
-                out.payload.insert(out.payload.end(), shard.payload.begin(),
-                                   shard.payload.end());
-                out.window_sizes.insert(out.window_sizes.end(),
-                                        shard.window_sizes.begin(),
-                                        shard.window_sizes.end());
-            }
+            const uint64_t start = s * per_shard * stride;
+            if (start != end)
+                std::memmove(payload + end, payload + start, sizes[s]);
+            end += sizes[s];
             return true;
         });
+    out.payload.resize(end);
     return out;
-}
-
-void
-ParallelCompressor::compressShardInto(std::span<const uint8_t> input,
-                                      uint64_t first, uint64_t last,
-                                      CompressedShard &shard) const
-{
-    const uint64_t window_bytes = codec_->windowBytes();
-    shard.codec = codec_tag_;
-    shard.first_window = first;
-    shard.window_sizes.reserve(last - first);
-    // Reserve the shard's worst case once; every window then streams
-    // in with zero further allocation.
-    shard.payload.reserve(payloadBound(input.size(), first, last));
-    for (uint64_t w = first; w < last; ++w) {
-        const uint64_t offset = w * window_bytes;
-        const uint64_t len =
-            std::min<uint64_t>(window_bytes, input.size() - offset);
-        const size_t before = shard.payload.size();
-        codec_->compressWindowInto(input.subspan(offset, len),
-                                   shard.payload);
-        shard.window_sizes.push_back(
-            static_cast<uint32_t>(shard.payload.size() - before));
-        shard.raw_bytes += len;
-    }
 }
 
 void
@@ -165,13 +146,23 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
     runOrderedShardFanOut(
         shards,
         [&](uint64_t s) {
-            const obs::ScopedTimer timer(compress_hist_);
             CompressedShard &shard = results[s];
-            shard.index = s;
             const uint64_t first = s * windows_per_shard;
-            compressShardInto(input, first,
-                              std::min(windows, first + windows_per_shard),
-                              shard);
+            const uint64_t last = std::min(windows, first + windows_per_shard);
+            // Sized to the shard's worst case once (ByteVec: no
+            // zero-fill) and trimmed once.
+            shard.payload.resize(
+                codec_->payloadBound(input.size(), first, last));
+            shard.window_sizes.resize(last - first);
+            const RoomShard framed =
+                compressShardTo(input, s, windows_per_shard,
+                                shard.payload.data(),
+                                shard.window_sizes.data());
+            shard.payload.resize(framed.payload_bytes);
+            shard.index = s;
+            shard.first_window = first;
+            shard.raw_bytes = framed.raw_bytes;
+            shard.codec = codec_tag_;
             // Integrity frame: one CRC-32C over the whole shard payload,
             // here in the worker lane (shard granularity, off the
             // per-window hot loops), so the prefetch side can verify the
@@ -187,6 +178,43 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
             consumer(std::move(shard));
             return true;
         });
+}
+
+void
+ParallelCompressor::compressShardsInto(std::span<const uint8_t> input,
+                                       uint64_t windows_per_shard,
+                                       std::span<uint8_t> room,
+                                       std::span<uint32_t> window_sizes,
+                                       const RoomDrain &drain) const
+{
+    CDMA_ASSERT(windows_per_shard > 0, "shards need at least one window");
+    const uint64_t window_bytes = codec_->windowBytes();
+    const uint64_t windows = ceilDiv(input.size(), window_bytes);
+    CDMA_ASSERT(room.size() >=
+                        codec_->payloadBound(input.size(), 0, windows) &&
+                    window_sizes.size() >= windows,
+                "a %zu-byte room with %zu framing entries cannot hold %llu "
+                "windows",
+                room.size(), window_sizes.size(),
+                static_cast<unsigned long long>(windows));
+    const uint64_t shards = ceilDiv(windows, windows_per_shard);
+    const uint64_t stride = codec_->compressedBound(window_bytes);
+
+    std::vector<RoomShard> framed(shards);
+    runOrderedShardFanOut(
+        shards,
+        [&](uint64_t s) {
+            const uint64_t first = s * windows_per_shard;
+            RoomShard &shard = framed[s];
+            shard = compressShardTo(input, s, windows_per_shard,
+                                    room.data() + first * stride,
+                                    window_sizes.data() + first);
+            shard.offset = first * stride;
+            // The integrity frame, while the payload is still in cache.
+            shard.crc32c = codec_->kernels().crc32(
+                0, room.data() + shard.offset, shard.payload_bytes);
+        },
+        [&](uint64_t s) { return drain(framed[s]); });
 }
 
 StatusOr<ByteVec>

@@ -6,11 +6,18 @@
  * matches the DMA link rate). Windows are independent by construction, so
  * a buffer's window list is partitioned into contiguous shards and every
  * real byte goes through one ordered fan-out (ThreadPool::orderedFanOut):
- * the lanes compress or expand shards via the streaming
- * compressWindowInto() / decompressWindowInto() API, and the calling
- * thread drains them in shard order — compress() stitches the payload
- * there with bulk copies. The result is bit-identical to the serial
- * Compressor::compress() on every input.
+ * the lanes compress or expand shards via the window pair
+ * compressWindowTo() / decompressWindowInto(), and the calling thread
+ * drains them in shard order. The result is bit-identical to the
+ * serial Compressor::compress() on every input.
+ *
+ * Compressing lanes write straight into their destination. Shard s of
+ * a stream starts at byte first_window × compressedBound(window) of
+ * one room sized for every window's worst case, so no shard's worst
+ * case reaches the next shard's start and the lanes need no
+ * coordination: compressShardsInto() hands the room to the spill arena
+ * as is, and compress() closes the gaps between shards in its drain.
+ * compressShards() gives each shard a payload vector of its own.
  */
 
 #ifndef CDMA_COMPRESS_PARALLEL_HH
@@ -68,6 +75,25 @@ struct CompressedShard {
      * @param window_bytes Compression window the shard was cut with.
      */
     uint64_t effectiveBytes(uint64_t window_bytes) const;
+};
+
+/**
+ * One shard of ParallelCompressor::compressShardsInto(): its windows
+ * compressed in place in the caller's room and their sizes written into
+ * the caller's framing. The payload is room[offset, offset +
+ * payload_bytes); framing entries [first_window, first_window +
+ * window_count) are the shard's.
+ */
+struct RoomShard {
+    uint64_t index = 0;         ///< shard position in the stream
+    uint64_t first_window = 0;  ///< absolute index of the first window
+    uint64_t window_count = 0;  ///< windows the shard frames
+    uint64_t raw_bytes = 0;     ///< uncompressed bytes the shard covers
+    uint64_t offset = 0;        ///< payload start in the room
+    uint64_t payload_bytes = 0; ///< compressed bytes at offset
+    /** CRC-32C of the payload, computed on the lane that compressed it
+     *  while the bytes were still in cache. */
+    uint32_t crc32c = 0;
 };
 
 /** Multi-threaded wrapper around a serial windowed compressor. */
@@ -129,8 +155,10 @@ class ParallelCompressor
     /**
      * Compress @p input with the window space cut into one contiguous
      * shard per lane; the lanes compress the shards through
-     * runOrderedShardFanOut() and the drain stitches them in shard
-     * order. Output is byte-identical to serial().compress(input).
+     * runOrderedShardFanOut() straight into the output's bound-strided
+     * layout, and the drain moves each shard down to where the one
+     * before it ended. Output is byte-identical to
+     * serial().compress(input).
      */
     CompressedBuffer compress(std::span<const uint8_t> input) const;
 
@@ -170,9 +198,33 @@ class ParallelCompressor
                         uint64_t windows_per_shard,
                         const ShardConsumer &consumer) const;
 
+    /** Receives each room shard once, in shard order; false stops. */
+    using RoomDrain = std::function<bool(const RoomShard &)>;
+
     /**
-     * The ordered shard fan-out behind compress(), decompress(),
-     * compressShards() and the arena prefetch: ThreadPool::orderedFanOut()
+     * The zero-copy shard stream: compressShards() with every shard
+     * compressed straight into @p room, the caller's memory, so no
+     * shard owns a payload. @p room holds
+     * serial().payloadBound(input.size(), 0, windows) bytes and
+     * @p window_sizes one entry per window (windows =
+     * ceil(input / windowBytes())); neither needs initializing. Shard
+     * s starts at byte first_window × compressedBound(windowBytes()),
+     * and each lane computes its shard's CRC-32C there. The bytes
+     * between one shard's payload end and the next shard's start are
+     * unspecified. @p drain runs on the calling thread for shard 0, 1,
+     * 2, ... as in compressShards(); returning false stops the stream,
+     * and unclaimed shards are never compressed. Framing and bytes are
+     * identical to compressShards() on the same input.
+     */
+    void compressShardsInto(std::span<const uint8_t> input,
+                            uint64_t windows_per_shard,
+                            std::span<uint8_t> room,
+                            std::span<uint32_t> window_sizes,
+                            const RoomDrain &drain) const;
+
+    /**
+     * The ordered shard fan-out behind compress(), decompress(), both
+     * shard streams and the arena prefetch: ThreadPool::orderedFanOut()
      * over this compressor's lanes (see there for the ordering, stop and
      * exception contract). With one lane (or one shard) it runs
      * work(s), drain(s) for each shard in turn, inline.
@@ -198,15 +250,15 @@ class ParallelCompressor
     /** Windows per shard when @p windows are cut one shard per lane. */
     uint64_t laneShardWindows(uint64_t windows) const;
 
-    /** Worst-case payload of windows [first, last) of an
-     *  @p input_bytes input. */
-    uint64_t payloadBound(uint64_t input_bytes, uint64_t first,
-                          uint64_t last) const;
-
-    /** Compress windows [first, last) of @p input into @p shard's
-     *  payload and window sizes (no CRC). */
-    void compressShardInto(std::span<const uint8_t> input, uint64_t first,
-                           uint64_t last, CompressedShard &shard) const;
+    /**
+     * The shard core of every stream: compress shard @p s (windows
+     * [s × windows_per_shard, ...) of @p input) into @p dst and
+     * @p window_sizes, which hold its payloadBound(), timed into the
+     * kernel histogram. Returns its framing, without a CRC.
+     */
+    RoomShard compressShardTo(std::span<const uint8_t> input, uint64_t s,
+                              uint64_t windows_per_shard, uint8_t *dst,
+                              uint32_t *window_sizes) const;
 
     std::unique_ptr<Compressor> codec_;
     Codec codec_tag_ = Codec::Zvc; ///< cached codecFromName(codec_->name())

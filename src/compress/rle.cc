@@ -38,25 +38,21 @@ RleCompressor::compressedBound(uint64_t raw_len) const
     return raw_len + raw_len / kWordBytes + kWordBytes;
 }
 
-void
-RleCompressor::compressWindowInto(std::span<const uint8_t> window,
-                                  ByteVec &out) const
+uint64_t
+RleCompressor::compressWindowTo(std::span<const uint8_t> window,
+                                uint8_t *out) const
 {
     const uint64_t words = window.size() / kWordBytes;
     const uint64_t tail_bytes = window.size() % kWordBytes;
     const uint8_t *src = window.data();
 
-    // Worst case sized up front and trimmed once at the end (ByteVec:
-    // no zero-fill of the staging bytes), so the token/literal emission
-    // below is raw pointer writes with zero reallocation. Run boundaries
-    // come from the kernel backend's scans — the token stream they
-    // produce is backend-invariant by construction (a run ends at the
-    // first word of the other kind, however it was found).
+    // The caller's room holds the worst case, so the token/literal
+    // emission below is raw pointer writes. Run boundaries come from
+    // the kernel backend's scans — the token stream they produce is
+    // backend-invariant by construction (a run ends at the first word
+    // of the other kind, however it was found).
     const KernelOps &kernel = kernels();
-    const size_t base = out.size();
-    out.resize(base + compressedBound(window.size()));
-    uint8_t *out_base = out.data() + base;
-    uint8_t *dst = out_base;
+    uint8_t *dst = out;
 
     uint64_t i = 0;
     while (i < words) {
@@ -83,7 +79,7 @@ RleCompressor::compressWindowInto(std::span<const uint8_t> window,
         std::memcpy(dst, src + words * kWordBytes, tail_bytes);
         dst += tail_bytes;
     }
-    out.resize(base + static_cast<size_t>(dst - out_base));
+    return static_cast<uint64_t>(dst - out);
 }
 
 Status

@@ -38,8 +38,8 @@ class RleCompressor : public Compressor
      * backend's bulk copy, and decompression reconstructs with
      * memset/memcpy runs.
      */
-    void compressWindowInto(std::span<const uint8_t> window,
-                            ByteVec &out) const override;
+    uint64_t compressWindowTo(std::span<const uint8_t> window,
+                              uint8_t *out) const override;
 
     Status decompressWindowInto(std::span<const uint8_t> payload,
                                 uint64_t original_bytes,

@@ -31,37 +31,31 @@ ZvcCompressor::compressedBound(uint64_t raw_len) const
     return predictedBytes(words, words) + raw_len % kWordBytes;
 }
 
-void
-ZvcCompressor::compressWindowInto(std::span<const uint8_t> window,
-                                  ByteVec &out) const
+uint64_t
+ZvcCompressor::compressWindowTo(std::span<const uint8_t> window,
+                                uint8_t *dst) const
 {
     const uint64_t full_words = window.size() / kWordBytes;
     const uint64_t tail_bytes = window.size() % kWordBytes;
     const uint8_t *src = window.data();
 
-    // Single pass, sized to the worst case up front and trimmed once at
-    // the end; out is a ByteVec, so the resize-to-bound leaves the staging
-    // bytes uninitialized instead of zero-filling a region the kernel
-    // overwrites. The mask-and-compact of every 32-word group is one
-    // zvcCompactWords call over the whole window — the software mirror
-    // of the hardware's prefix-sum shift network (Figure 10a) — which
-    // may store whole sub-blocks unconditionally and let the write
-    // pointer lag, so the worst-case sizing is also its scratch headroom.
-    const size_t base = out.size();
-    out.resize(base + compressedBound(window.size()));
-    uint8_t *out_base = out.data() + base;
-    uint8_t *dst =
-        out_base + kernels().zvcCompactWords(src, full_words, out_base);
+    // Single pass straight into the caller's room. The mask-and-compact
+    // of every 32-word group is one zvcCompactWords call over the whole
+    // window — the software mirror of the hardware's prefix-sum shift
+    // network (Figure 10a) — which may store whole sub-blocks
+    // unconditionally and let the write pointer lag, so the room's
+    // worst-case size is also its scratch headroom.
+    uint64_t bytes = kernels().zvcCompactWords(src, full_words, dst);
 
     // Sub-word tail (only possible when the window is not a multiple of 4
     // bytes, e.g. the last window of an oddly sized buffer): stored raw.
     // At most 3 bytes — a plain memcpy inlines, the kernel table's bulk
     // copy would cost an indirect call.
     if (tail_bytes) {
-        std::memcpy(dst, src + full_words * kWordBytes, tail_bytes);
-        dst += tail_bytes;
+        std::memcpy(dst + bytes, src + full_words * kWordBytes, tail_bytes);
+        bytes += tail_bytes;
     }
-    out.resize(base + static_cast<size_t>(dst - out_base));
+    return bytes;
 }
 
 namespace {

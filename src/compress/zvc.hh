@@ -50,8 +50,8 @@ class ZvcCompressor : public Compressor
      * report which group does not fit. The raw sub-word tail and the
      * trailing-byte check stay in the codec.
      */
-    void compressWindowInto(std::span<const uint8_t> window,
-                            ByteVec &out) const override;
+    uint64_t compressWindowTo(std::span<const uint8_t> window,
+                              uint8_t *dst) const override;
 
     Status decompressWindowInto(std::span<const uint8_t> payload,
                                 uint64_t original_bytes,

@@ -206,14 +206,34 @@ TEST(Integrity, RepeatedFaultsDegradeShardsToRawFraming)
         }
         out.integrity.accumulate(spilled->integrity);
 
-        // Degraded shards carry raw framing in the arena...
+        // Degraded shards carry raw framing in the arena: each was
+        // rewritten in place, in the room its compressed form was
+        // given, to the source bytes of its windows, with raw window
+        // sizes and a CRC re-framed over them...
+        const uint64_t window_bytes = engine.config().compression.window_bytes;
+        const KernelOps &kernels = engine.compressor().serial().kernels();
         bool saw_raw_framed = false;
         for (size_t s = 0; s < arena.shardCount(spilled->ticket); ++s) {
             const SpillShardView view = arena.shard(spilled->ticket, s);
-            if (view.raw_framed) {
-                saw_raw_framed = true;
-                EXPECT_EQ(view.payload.size(), view.raw_bytes);
+            if (!view.raw_framed)
+                continue;
+            saw_raw_framed = true;
+            EXPECT_EQ(view.payload.size(), view.raw_bytes);
+            if (view.payload.size() != view.raw_bytes)
+                continue;
+            EXPECT_EQ(0, std::memcmp(view.payload.data(),
+                                     input.data() +
+                                         view.first_window * window_bytes,
+                                     view.payload.size()))
+                << "shard " << s;
+            uint64_t remaining = view.raw_bytes;
+            for (const uint32_t size : view.window_sizes) {
+                EXPECT_EQ(size, std::min<uint64_t>(window_bytes, remaining));
+                remaining -= std::min<uint64_t>(window_bytes, remaining);
             }
+            EXPECT_EQ(view.crc32c,
+                      kernels.crc32(0, view.payload.data(),
+                                    view.payload.size()));
         }
         EXPECT_TRUE(saw_raw_framed);
 
@@ -247,8 +267,21 @@ TEST(Integrity, DeadLinkExhaustsOffloadRetryBudget)
         SpillArena arena;
         Outcome out;
         out.status = TransferEngine(engine).offloadInto(input, arena).status();
-        // The failed spill released its partially filled ticket.
+        // The failed spill released its partially filled ticket, and
+        // with it the room the lanes were compressing into.
         EXPECT_EQ(arena.stats().live_buffers, 0u);
+        EXPECT_EQ(arena.stats().live_slot_bytes, 0u);
+        EXPECT_EQ(arena.stats().live_payload_bytes, 0u);
+
+        // The same on the tiered store's host tier.
+        TieredSpillArena tiered(/*host_capacity_bytes=*/0);
+        EXPECT_EQ(TransferEngine(engine).offloadInto(input, tiered)
+                      .status()
+                      .code(),
+                  StatusCode::RetryExhausted);
+        EXPECT_EQ(tiered.hostArena().stats().live_buffers, 0u);
+        EXPECT_EQ(tiered.hostArena().stats().live_slot_bytes, 0u);
+        EXPECT_EQ(tiered.hostArena().stats().live_payload_bytes, 0u);
         return out;
     });
     EXPECT_EQ(outcome.status.code(), StatusCode::RetryExhausted)

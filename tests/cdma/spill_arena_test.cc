@@ -179,6 +179,55 @@ TEST(SpillArena, ShardViewsExposeTheStoredFraming)
     arena.release(spilled.ticket);
 }
 
+TEST(SpillArena, AppendShardStoresWhatTheRoomPathStores)
+{
+    // appendShard() (a room of the shard's exact size, one copy, a
+    // commit) and the offload's room path (the lanes compress into one
+    // bound-sized room) must store identical views on every codec.
+    const auto input = makeInput(0.45, (1 << 19) + 37, 89);
+    const CdmaEngine engine = makeEngine(Algorithm::Zvc, 2);
+    const TransferEngine transfers(engine);
+    for (const Codec codec : kAllCodecs) {
+        SCOPED_TRACE(codecName(codec));
+        SpillArena arena;
+        const SpillTicket roomed =
+            transfers.offloadInto(input, arena, codec)->ticket;
+        const SpillTicket appended = arena.beginSpill(
+            input.size(), engine.config().compression.window_bytes);
+        engine.compressorFor(codec).compressShards(
+            input, transfers.shardWindows(),
+            [&](CompressedShard &&shard) {
+                arena.appendShard(appended, shard);
+            });
+
+        ASSERT_EQ(arena.shardCount(appended), arena.shardCount(roomed));
+        EXPECT_EQ(arena.payloadBytes(appended), arena.payloadBytes(roomed));
+        EXPECT_EQ(arena.wireBytes(appended), arena.wireBytes(roomed));
+        for (size_t s = 0; s < arena.shardCount(roomed); ++s) {
+            const SpillShardView a = arena.shard(appended, s);
+            const SpillShardView r = arena.shard(roomed, s);
+            EXPECT_TRUE(std::equal(a.payload.begin(), a.payload.end(),
+                                   r.payload.begin(), r.payload.end()))
+                << "shard " << s;
+            EXPECT_TRUE(std::equal(a.window_sizes.begin(),
+                                   a.window_sizes.end(),
+                                   r.window_sizes.begin(),
+                                   r.window_sizes.end()))
+                << "shard " << s;
+            EXPECT_EQ(a.first_window, r.first_window);
+            EXPECT_EQ(a.raw_bytes, r.raw_bytes);
+            EXPECT_EQ(a.wire_bytes, r.wire_bytes);
+            EXPECT_EQ(a.crc32c, r.crc32c);
+            EXPECT_EQ(a.raw_framed, r.raw_framed);
+            EXPECT_EQ(a.codec, r.codec);
+        }
+        arena.release(roomed);
+        arena.release(appended);
+        EXPECT_EQ(arena.stats().live_slot_bytes, 0u);
+        EXPECT_EQ(arena.stats().live_payload_bytes, 0u);
+    }
+}
+
 TEST(SpillArena, EmptyBufferSpills)
 {
     const CdmaEngine engine = makeEngine();

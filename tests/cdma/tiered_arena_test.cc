@@ -110,6 +110,40 @@ TEST(TieredSpillArena, CapacityPressureEvictsOldestSealedFirst)
     EXPECT_EQ(arena.backingArena().stats().live_buffers, 0u);
 }
 
+TEST(TieredSpillArena, RecycledTicketKeepsOldestFirstEviction)
+{
+    // A released spill leaves its eviction-order entry behind. The next
+    // spill recycles its ticket; that stale entry must not move the
+    // newer spill ahead of an older sealed one.
+    const CdmaEngine cdma = makeEngine();
+    const TransferEngine engine(cdma);
+    const auto input = makeInput(0.5, 1 << 18, 97);
+
+    TieredSpillArena probe(0);
+    const SpillTicket sized = spill(engine, probe, input);
+    const uint64_t payload = probe.payloadBytes(sized);
+    probe.release(sized);
+
+    TieredSpillArena arena(2 * payload + payload / 2);
+    const SpillTicket a = spill(engine, arena, input);
+    const SpillTicket b = spill(engine, arena, input);
+    arena.release(a);
+    const SpillTicket c = spill(engine, arena, input);
+    ASSERT_EQ(c, a) << "the test needs c to recycle a's ticket";
+    const SpillTicket d = spill(engine, arena, input);
+
+    // b, c and d exceed the budget: b is the oldest and goes down.
+    EXPECT_TRUE(arena.onBackingTier(b));
+    EXPECT_FALSE(arena.onBackingTier(c));
+    EXPECT_FALSE(arena.onBackingTier(d));
+    EXPECT_EQ(arena.tierStats().evictions, 1u);
+    arena.release(b);
+    arena.release(c);
+    arena.release(d);
+    EXPECT_EQ(arena.hostArena().stats().live_slot_bytes, 0u);
+    EXPECT_EQ(arena.backingArena().stats().live_slot_bytes, 0u);
+}
+
 TEST(TieredSpillArena, PromoteReadsBackAndReentersEvictionOrder)
 {
     const CdmaEngine cdma = makeEngine();

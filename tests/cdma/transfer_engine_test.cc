@@ -17,6 +17,7 @@
 
 #include "cdma/transfer_engine.hh"
 #include "common/rng.hh"
+#include "compress/kernels/kernels.hh"
 #include "perf/step_sim.hh"
 #include "vdnn/memory_manager.hh"
 
@@ -172,6 +173,68 @@ TEST(TransferEngine, SpillArenaRoundTripsByteIdenticalAcrossLanes)
         }
         EXPECT_EQ(spilled.timing.overlapped_seconds,
                   spills[0].timing.overlapped_seconds);
+    }
+}
+
+TEST(TransferEngine, ZeroCopyOffloadStoresWhatCompressFrames)
+{
+    // The lanes compress straight into the spill's room and write their
+    // window sizes into its framing: at every lane count and on every
+    // codec, the shard views hold exactly the bytes, window sizes and
+    // codec compress() frames, each CRC covers its view's payload, and
+    // no room outlives its release.
+    const auto input = makeInput(0.4, (1 << 19) + 37, 947);
+    for (const Codec codec : kAllCodecs) {
+        for (const unsigned lanes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << codecName(codec) << " at "
+                                            << lanes << " lanes");
+            const CdmaEngine engine = makeEngine(lanes);
+            const TransferEngine transfers(engine);
+            const Compressor &serial = engine.serialCodec(codec);
+            const CompressedBuffer reference = serial.compress(input);
+            SpillArena arena;
+            const SpilledOffload spilled =
+                transfers.offloadInto(input, arena, codec).value();
+            const size_t shards = arena.shardCount(spilled.ticket);
+            ASSERT_GT(shards, size_t{lanes});
+            uint64_t window = 0;
+            uint64_t offset = 0;
+            for (size_t s = 0; s < shards; ++s) {
+                const SpillShardView view = arena.shard(spilled.ticket, s);
+                EXPECT_EQ(view.codec, codec);
+                EXPECT_FALSE(view.raw_framed);
+                EXPECT_EQ(view.first_window, window);
+                ASSERT_LE(window + view.window_sizes.size(),
+                          reference.window_sizes.size());
+                EXPECT_TRUE(std::equal(view.window_sizes.begin(),
+                                       view.window_sizes.end(),
+                                       reference.window_sizes.begin() +
+                                           window))
+                    << "shard " << s;
+                ASSERT_LE(offset + view.payload.size(),
+                          reference.payload.size());
+                EXPECT_EQ(0, std::memcmp(view.payload.data(),
+                                         reference.payload.data() + offset,
+                                         view.payload.size()))
+                    << "shard " << s;
+                EXPECT_EQ(view.crc32c,
+                          serial.kernels().crc32(
+                              0, reference.payload.data() + offset,
+                              view.payload.size()))
+                    << "shard " << s;
+                window += view.window_sizes.size();
+                offset += view.payload.size();
+            }
+            EXPECT_EQ(window, reference.window_sizes.size());
+            EXPECT_EQ(offset, reference.payload.size());
+            EXPECT_EQ(arena.wireBytes(spilled.ticket),
+                      reference.effectiveBytes());
+            EXPECT_EQ(transfers.prefetch(arena, spilled.ticket).value().data,
+                      ByteVec(input.begin(), input.end()));
+            arena.release(spilled.ticket);
+            EXPECT_EQ(arena.stats().live_slot_bytes, 0u);
+            EXPECT_EQ(arena.stats().live_payload_bytes, 0u);
+        }
     }
 }
 

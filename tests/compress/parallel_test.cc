@@ -189,6 +189,60 @@ TEST(ParallelCompressor, ShardStreamArrivesInOrderAndStitchesExactly)
     }
 }
 
+TEST(ParallelCompressor, RoomStreamMatchesTheShardStream)
+{
+    // compressShardsInto() writes each shard at its bound-strided offset
+    // of one room and its window sizes into one framing array: the same
+    // shards, bytes, sizes and CRCs compressShards() hands out, at every
+    // lane count and on every algorithm.
+    const auto input = makeInput(0.45, (1 << 18) + 37, 47);
+    for (const Algorithm algorithm : kAllAlgorithms) {
+        for (const unsigned lanes : {1u, 2u, 4u}) {
+            SCOPED_TRACE(testing::Message() << algorithmName(algorithm)
+                                            << " at " << lanes << " lanes");
+            const ParallelCompressor compressor(algorithm, 4096, lanes);
+            std::vector<CompressedShard> expected;
+            compressor.compressShards(input, 5, [&](CompressedShard &&shard) {
+                expected.push_back(std::move(shard));
+            });
+            const uint64_t windows = (input.size() + 4095) / 4096;
+            const uint64_t stride = compressor.serial().compressedBound(4096);
+            ByteVec room(compressor.serial().payloadBound(input.size(), 0,
+                                                          windows));
+            std::vector<uint32_t> sizes(windows);
+            size_t drained = 0;
+            compressor.compressShardsInto(
+                input, 5, room, sizes, [&](const RoomShard &shard) {
+                    const CompressedShard &want = expected.at(drained++);
+                    EXPECT_EQ(shard.index, want.index);
+                    EXPECT_EQ(shard.first_window, want.first_window);
+                    EXPECT_EQ(shard.raw_bytes, want.raw_bytes);
+                    EXPECT_EQ(shard.crc32c, want.crc32c);
+                    EXPECT_EQ(shard.offset, shard.first_window * stride);
+                    EXPECT_EQ(shard.window_count, want.window_sizes.size());
+                    EXPECT_TRUE(std::equal(
+                        sizes.begin() + shard.first_window,
+                        sizes.begin() + shard.first_window +
+                            shard.window_count,
+                        want.window_sizes.begin(), want.window_sizes.end()));
+                    EXPECT_TRUE(std::equal(
+                        room.begin() + shard.offset,
+                        room.begin() + shard.offset + shard.payload_bytes,
+                        want.payload.begin(), want.payload.end()));
+                    return true;
+                });
+            EXPECT_EQ(drained, expected.size());
+
+            // A drain that returns false ends the stream there.
+            drained = 0;
+            compressor.compressShardsInto(
+                input, 5, room, sizes,
+                [&](const RoomShard &) { return ++drained < 2; });
+            EXPECT_EQ(drained, 2u);
+        }
+    }
+}
+
 TEST(ParallelCompressor, ManyMoreWindowsThanLanes)
 {
     const auto input = makeInput(0.3, (1 << 20) + 37, 11);
