@@ -73,8 +73,8 @@ trainAndCapture(RnnActivation activation, double *final_accuracy)
         loss.forward(logits, batch.labels);
         accuracy = loss.accuracy();
         const Tensor4D dlogits = loss.backward();
-        const Tensor4D dstates = head.backward(dlogits);
-        rnn.backward(dstates);
+        const Tensor4D dstates = head.backward(states, logits, dlogits);
+        rnn.backward(batch.images, states, dstates);
         const SgdConfig sgd{0.05f, 0.9f, 0.0f};
         for (ParamBlob *blob : rnn.params()) {
             blob->apply(sgd);

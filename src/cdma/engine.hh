@@ -40,7 +40,6 @@ namespace cdma {
 
 namespace obs {
 class MetricsRegistry;
-class TraceRecorder;
 } // namespace obs
 
 class CodecPolicyEngine;
@@ -366,9 +365,6 @@ struct TopologyConfig {
     NodeId gpu_node = 0;
     /** The host-DRAM endpoint transfers terminate at. */
     NodeId host_node = 1;
-    /** Source tag wire legs carry on shared edges (the GPU's index in
-     *  a fleet; single-GPU configurations leave it at 0). */
-    unsigned source = 0;
 };
 
 /**
@@ -382,15 +378,6 @@ struct TopologyConfig {
 struct ObsConfig {
     /** Metrics sink (non-owning; nullptr = no metrics recorded). */
     obs::MetricsRegistry *metrics = nullptr;
-    /**
-     * Instant sink for sampled integrity events — CRC failures, link
-     * faults, raw-framing degradations — on the arena transfer flows
-     * (non-owning; nullptr = off). These flows run outside any DES
-     * timeline, so the instants ride the recorder's monotonic
-     * pseudo-clock on the "integrity" process; never attach a recorder
-     * that also carries DES timelines.
-     */
-    obs::TraceRecorder *integrity_trace = nullptr;
 };
 
 /** Configuration of the cDMA engine. */

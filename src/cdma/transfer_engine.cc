@@ -113,27 +113,6 @@ degradeToRaw(RoomShard &shard, const SpillRoom &room,
     shard.crc32c = kernels.crc32(0, payload, shard.payload_bytes);
 }
 
-/**
- * Emit the pseudo-clock instant of one rejected crossing on the arena
- * flows (no DES timeline exists there); no-op without a recorder. The
- * cause mirrors crossingLanded()'s rejection order: lost/short
- * crossings are link faults, surviving damage is a CRC failure.
- */
-void
-traceRejectedCrossing(obs::TraceRecorder *trace, const char *flow,
-                      const sim::FaultOutcome &outcome, size_t shard,
-                      uint32_t attempt)
-{
-    if (trace == nullptr)
-        return;
-    const uint32_t track = trace->track("integrity", flow);
-    const char *cause = (outcome.link_failed || outcome.truncated)
-        ? "link_fault"
-        : "crc_failure";
-    trace->instant(track, cause, trace->tick(),
-                   obs::TraceArgs{{"shard", shard}, {"attempt", attempt}});
-}
-
 /** Spill-completion hook of the arena flows: a plain SpillArena has no
  *  notion of completion; a tiered one seals the spill, making it
  *  eligible for eviction to its backing tier. */
@@ -280,9 +259,6 @@ offloadIntoArena(const TransferEngine &te, std::span<const uint8_t> data,
                                    result.integrity)) {
                     break;
                 }
-                traceRejectedCrossing(config.obs.integrity_trace,
-                                      "offload", outcome, shard.index,
-                                      attempts);
                 xfer.failed_wire_bytes += xfer.wire_bytes;
                 if (attempts >= retry.max_attempts) {
                     fault_error = Status::retryExhausted(
@@ -565,8 +541,6 @@ prefetchFromArena(const TransferEngine &te, const Arena &arena,
                                    kernels, result.integrity)) {
                     break;
                 }
-                traceRejectedCrossing(config.obs.integrity_trace,
-                                      "prefetch", outcome, s, attempts);
                 xfer.failed_wire_bytes += view.wire_bytes;
                 if (attempts >= retry.max_attempts) {
                     first_error = Status::retryExhausted(
@@ -612,33 +586,6 @@ TransferEngine::prefetch(TieredSpillArena &arena, SpillTicket ticket) const
     return prefetchFromArena(*this, arena, ticket);
 }
 
-StatusOr<TransferEngine::DuplexResult>
-TransferEngine::transfer(std::span<const uint8_t> offload_data,
-                         SpillArena &arena,
-                         SpillTicket prefetch_ticket) const
-{
-    StatusOr<SpilledOffload> offloaded =
-        offloadInto(offload_data, arena);
-    if (!offloaded.ok())
-        return offloaded.status();
-    StatusOr<PrefetchResult> prefetched =
-        prefetch(arena, prefetch_ticket);
-    if (!prefetched.ok())
-        return prefetched.status();
-
-    DuplexResult result;
-    result.offload = std::move(offloaded.value());
-    result.prefetch = std::move(prefetched.value());
-    // Re-time both measured shard trains as one race on the shared
-    // link: the per-direction breakdowns pick up any contention the
-    // independent flows above could not see.
-    result.timing = duplexTiming(result.offload.shards,
-                                 result.prefetch.shards);
-    result.offload.timing = result.timing.offload;
-    result.prefetch.timing = result.timing.prefetch;
-    return result;
-}
-
 DuplexTiming
 TransferEngine::duplexTiming(
     std::span<const ShardTransfer> offload_shards,
@@ -656,8 +603,7 @@ TransferEngine::duplexTiming(
     LinkNetwork network(queue, *topology_);
     DuplexPipeline pipeline(
         network, route_, {offload_shards.begin(), offload_shards.end()},
-        {prefetch_shards.begin(), prefetch_shards.end()}, spec_,
-        engine_.config().topology.source);
+        {prefetch_shards.begin(), prefetch_shards.end()}, spec_);
     // Metrics only: every call here opens a fresh t=0 event queue, so a
     // trace recorder (one coherent timeline) cannot attach at this
     // level — but shard latency histograms are origin-agnostic.

@@ -329,27 +329,6 @@ class TransferEngine
     StatusOr<PrefetchResult> prefetch(TieredSpillArena &arena,
                                       SpillTicket ticket) const;
 
-    /** Outcome of one full-duplex step: both real flows + the race. */
-    struct DuplexResult {
-        SpilledOffload offload;   ///< @p offload_data spilled to the arena
-        PrefetchResult prefetch;  ///< @p prefetch_ticket restored
-        /** Both measured shard trains raced on the configured link. */
-        DuplexTiming timing;
-    };
-
-    /**
-     * One steady-state training-loop step on the unified ticket flow:
-     * compress and spill @p offload_data into @p arena while prefetching
-     * (and expanding) @p prefetch_ticket out of it, with both measured
-     * shard trains racing on the configured duplex link. The caller
-     * releases the prefetched ticket once the restored bytes are
-     * consumed. Fault handling follows the two underlying flows; the
-     * first leg to exhaust its retries surfaces its Status.
-     */
-    StatusOr<DuplexResult> transfer(std::span<const uint8_t> offload_data,
-                                    SpillArena &arena,
-                                    SpillTicket prefetch_ticket) const;
-
     // ---- Timing models ----
 
     /**

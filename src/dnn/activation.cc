@@ -19,30 +19,29 @@ ReLU::outputShape(const Shape4D &input) const
 Tensor4D
 ReLU::forward(const Tensor4D &input)
 {
-    cached_shape_ = input.shape();
     Tensor4D output(input.shape(), input.layout());
-    mask_.assign(static_cast<size_t>(input.elements()), 0);
     auto in = input.data();
     auto out = output.data();
     for (size_t i = 0; i < in.size(); ++i) {
-        if (in[i] > 0.0f) {
+        if (in[i] > 0.0f)
             out[i] = in[i];
-            mask_[i] = 1;
-        }
     }
     return output;
 }
 
 Tensor4D
-ReLU::backward(const Tensor4D &output_grad)
+ReLU::backward(const Tensor4D &input, const Tensor4D &output,
+               const Tensor4D &output_grad)
 {
-    CDMA_ASSERT(output_grad.shape() == cached_shape_,
+    (void)input;
+    CDMA_ASSERT(output_grad.shape() == output.shape(),
                 "relu %s backward shape mismatch", name().c_str());
     Tensor4D input_grad(output_grad.shape(), output_grad.layout());
+    auto y = output.data();
     auto dy = output_grad.data();
     auto dx = input_grad.data();
     for (size_t i = 0; i < dy.size(); ++i)
-        dx[i] = mask_[i] ? dy[i] : 0.0f;
+        dx[i] = y[i] > 0.0f ? dy[i] : 0.0f;
     return input_grad;
 }
 
@@ -64,16 +63,17 @@ Sigmoid::forward(const Tensor4D &input)
     auto out = output.data();
     for (size_t i = 0; i < in.size(); ++i)
         out[i] = 1.0f / (1.0f + std::exp(-in[i]));
-    cached_output_ = output;
     return output;
 }
 
 Tensor4D
-Sigmoid::backward(const Tensor4D &output_grad)
+Sigmoid::backward(const Tensor4D &input, const Tensor4D &output,
+                  const Tensor4D &output_grad)
 {
+    (void)input;
     Tensor4D input_grad(output_grad.shape(), output_grad.layout());
     auto dy = output_grad.data();
-    auto y = cached_output_.data();
+    auto y = output.data();
     auto dx = input_grad.data();
     for (size_t i = 0; i < dy.size(); ++i)
         dx[i] = dy[i] * y[i] * (1.0f - y[i]);
@@ -98,16 +98,17 @@ Tanh::forward(const Tensor4D &input)
     auto out = output.data();
     for (size_t i = 0; i < in.size(); ++i)
         out[i] = std::tanh(in[i]);
-    cached_output_ = output;
     return output;
 }
 
 Tensor4D
-Tanh::backward(const Tensor4D &output_grad)
+Tanh::backward(const Tensor4D &input, const Tensor4D &output,
+               const Tensor4D &output_grad)
 {
+    (void)input;
     Tensor4D input_grad(output_grad.shape(), output_grad.layout());
     auto dy = output_grad.data();
-    auto y = cached_output_.data();
+    auto y = output.data();
     auto dx = input_grad.data();
     for (size_t i = 0; i < dy.size(); ++i)
         dx[i] = dy[i] * (1.0f - y[i] * y[i]);

@@ -13,7 +13,10 @@
 
 namespace cdma {
 
-/** Rectified linear unit: y = max(0, x). */
+/**
+ * Rectified linear unit: y = max(0, x). Backward gates the gradient on
+ * y > 0, the same predicate as x > 0 (NaN and -0.0 map to 0 either way).
+ */
 class ReLU : public Layer
 {
   public:
@@ -22,12 +25,8 @@ class ReLU : public Layer
     std::string type() const override { return "relu"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
-
-  private:
-    // 1 where the input was positive; backward multiplies by this mask.
-    std::vector<uint8_t> mask_;
-    Shape4D cached_shape_;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 };
 
 /**
@@ -44,10 +43,8 @@ class Sigmoid : public Layer
     std::string type() const override { return "sigmoid"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
-
-  private:
-    Tensor4D cached_output_;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 };
 
 /** Hyperbolic tangent activation. */
@@ -59,10 +56,8 @@ class Tanh : public Layer
     std::string type() const override { return "tanh"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
-
-  private:
-    Tensor4D cached_output_;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 };
 
 } // namespace cdma

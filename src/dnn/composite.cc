@@ -6,7 +6,8 @@ namespace cdma {
 
 ParallelConcat::ParallelConcat(std::string name,
                                std::vector<Branch> branches)
-    : Layer(std::move(name)), branches_(std::move(branches))
+    : Layer(std::move(name)), branches_(std::move(branches)),
+      branch_outputs_(branches_.size())
 {
     CDMA_ASSERT(!branches_.empty(), "concat %s needs at least one branch",
                 this->name().c_str());
@@ -49,15 +50,12 @@ ParallelConcat::forward(const Tensor4D &input)
 {
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D output(out_shape);
-    cached_branch_shapes_.clear();
 
     int64_t channel_base = 0;
-    for (auto &branch : branches_) {
-        Tensor4D value = input;
-        for (auto &layer : branch)
-            value = layer->forward(value);
+    for (size_t b = 0; b < branches_.size(); ++b) {
+        forwardChain(branches_[b], input, branch_outputs_[b]);
+        const Tensor4D &value = branch_outputs_[b].back();
         const Shape4D &bs = value.shape();
-        cached_branch_shapes_.push_back(bs);
         for (int64_t n = 0; n < bs.n; ++n)
             for (int64_t c = 0; c < bs.c; ++c)
                 for (int64_t h = 0; h < bs.h; ++h)
@@ -70,14 +68,15 @@ ParallelConcat::forward(const Tensor4D &input)
 }
 
 Tensor4D
-ParallelConcat::backward(const Tensor4D &output_grad)
+ParallelConcat::backward(const Tensor4D &input, const Tensor4D &output,
+                         const Tensor4D &output_grad)
 {
+    (void)output;
     Tensor4D input_grad; // initialized by the first branch
-    bool first = true;
 
     int64_t channel_base = 0;
     for (size_t b = 0; b < branches_.size(); ++b) {
-        const Shape4D &bs = cached_branch_shapes_[b];
+        const Shape4D &bs = branch_outputs_[b].back().shape();
         Tensor4D branch_grad(bs);
         for (int64_t n = 0; n < bs.n; ++n)
             for (int64_t c = 0; c < bs.c; ++c)
@@ -87,15 +86,11 @@ ParallelConcat::backward(const Tensor4D &output_grad)
                             output_grad.at(n, channel_base + c, h, w);
         channel_base += bs.c;
 
-        Tensor4D grad = branch_grad;
-        for (auto it = branches_[b].rbegin(); it != branches_[b].rend();
-             ++it) {
-            grad = (*it)->backward(grad);
-        }
-
-        if (first) {
-            input_grad = grad;
-            first = false;
+        Tensor4D grad = backwardChain(branches_[b], input,
+                                      branch_outputs_[b],
+                                      std::move(branch_grad));
+        if (b == 0) {
+            input_grad = std::move(grad);
         } else {
             auto dst = input_grad.data();
             auto src = grad.data();

@@ -5,6 +5,12 @@
  * fire module are both instances. Keeping the branching inside one layer
  * lets the surrounding Network remain a simple sequential pipeline — the
  * same abstraction vDNN's layer-at-a-time offload scheduling assumes.
+ *
+ * The module is its branches' activation stash: it keeps every sub-layer
+ * output of its last forward() and hands them back to the sub-layers in
+ * backward(), exactly as Network does for its layers. The module input
+ * and output live in the surrounding Network's stash and arrive as
+ * backward() arguments.
  */
 
 #ifndef CDMA_DNN_COMPOSITE_HH
@@ -30,7 +36,8 @@ class ParallelConcat : public Layer
     std::string type() const override { return "concat"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
     std::vector<ParamBlob *> params() override;
     void setTraining(bool training) override;
 
@@ -45,7 +52,8 @@ class ParallelConcat : public Layer
                               const Shape4D &input) const;
 
     std::vector<Branch> branches_;
-    std::vector<Shape4D> cached_branch_shapes_;
+    // branch_outputs_[b][j]: output of sub-layer j of branch b.
+    std::vector<std::vector<Tensor4D>> branch_outputs_;
 };
 
 } // namespace cdma

@@ -130,9 +130,7 @@ Conv2D::col2im(const std::vector<float> &columns, int64_t sample,
 Tensor4D
 Conv2D::forward(const Tensor4D &input)
 {
-    cached_input_ = input;
     const Shape4D out_shape = outputShape(input.shape());
-    cached_output_shape_ = out_shape;
     Tensor4D output(out_shape);
 
     const int64_t patch = in_channels_ * spec_.kernel * spec_.kernel;
@@ -164,10 +162,11 @@ Conv2D::forward(const Tensor4D &input)
 }
 
 Tensor4D
-Conv2D::backward(const Tensor4D &output_grad)
+Conv2D::backward(const Tensor4D &input, const Tensor4D &output,
+                 const Tensor4D &output_grad)
 {
-    const Shape4D &in_shape = cached_input_.shape();
-    const Shape4D &out_shape = cached_output_shape_;
+    const Shape4D &in_shape = input.shape();
+    const Shape4D &out_shape = output.shape();
     CDMA_ASSERT(output_grad.shape() == out_shape,
                 "conv %s backward shape mismatch", name().c_str());
 
@@ -180,7 +179,7 @@ Conv2D::backward(const Tensor4D &output_grad)
         static_cast<size_t>(patch * spatial), 0.0f);
 
     for (int64_t n = 0; n < in_shape.n; ++n) {
-        im2col(cached_input_, n, columns);
+        im2col(input, n, columns);
 
         // dW[oc][p] += sum_s dY[oc][s] * columns[p][s]
         // db[oc]    += sum_s dY[oc][s]

@@ -39,7 +39,8 @@ class Conv2D : public Layer
     std::string type() const override { return "conv"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
     std::vector<ParamBlob *> params() override;
 
     /** Kernel geometry. */
@@ -63,8 +64,6 @@ class Conv2D : public Layer
     ConvSpec spec_;
     ParamBlob weights_; // [out_c][in_c * k * k]
     ParamBlob bias_;    // [out_c]
-    Tensor4D cached_input_;
-    Shape4D cached_output_shape_;
 };
 
 } // namespace cdma

@@ -39,8 +39,11 @@ Dropout::forward(const Tensor4D &input)
 }
 
 Tensor4D
-Dropout::backward(const Tensor4D &output_grad)
+Dropout::backward(const Tensor4D &input, const Tensor4D &output,
+                  const Tensor4D &output_grad)
 {
+    (void)input;
+    (void)output;
     Tensor4D input_grad(output_grad.shape(), output_grad.layout());
     const float scale = 1.0f / (1.0f - rate_);
     auto dy = output_grad.data();

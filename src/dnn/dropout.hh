@@ -28,7 +28,8 @@ class Dropout : public Layer
     std::string type() const override { return "dropout"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 
   private:
     float rate_;

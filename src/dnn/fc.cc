@@ -33,7 +33,6 @@ FullyConnected::outputShape(const Shape4D &input) const
 Tensor4D
 FullyConnected::forward(const Tensor4D &input)
 {
-    cached_input_ = input;
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D output(out_shape);
 
@@ -56,12 +55,14 @@ FullyConnected::forward(const Tensor4D &input)
 }
 
 Tensor4D
-FullyConnected::backward(const Tensor4D &output_grad)
+FullyConnected::backward(const Tensor4D &input, const Tensor4D &output,
+                         const Tensor4D &output_grad)
 {
-    const Shape4D &in_shape = cached_input_.shape();
+    (void)output;
+    const Shape4D &in_shape = input.shape();
     Tensor4D input_grad(in_shape);
 
-    auto x = cached_input_.data();
+    auto x = input.data();
     auto dy = output_grad.data();
     auto dx = input_grad.data();
 

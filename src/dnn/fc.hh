@@ -30,7 +30,8 @@ class FullyConnected : public Layer
     std::string type() const override { return "fc"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
     std::vector<ParamBlob *> params() override;
 
     uint64_t forwardMacsPerImage(const Shape4D &input) const override
@@ -51,7 +52,6 @@ class FullyConnected : public Layer
     int64_t out_features_;
     ParamBlob weights_; // [out][in]
     ParamBlob bias_;    // [out]
-    Tensor4D cached_input_;
 };
 
 } // namespace cdma

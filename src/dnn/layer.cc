@@ -25,4 +25,27 @@ Layer::Layer(std::string name) : name_(std::move(name))
 {
 }
 
+void
+forwardChain(std::vector<LayerPtr> &layers, const Tensor4D &input,
+             std::vector<Tensor4D> &outputs)
+{
+    outputs.clear();
+    outputs.reserve(layers.size());
+    const Tensor4D *current = &input;
+    for (auto &layer : layers) {
+        outputs.push_back(layer->forward(*current));
+        current = &outputs.back();
+    }
+}
+
+Tensor4D
+backwardChain(std::vector<LayerPtr> &layers, const Tensor4D &input,
+              const std::vector<Tensor4D> &outputs, Tensor4D grad)
+{
+    for (size_t i = layers.size(); i-- > 0;)
+        grad = layers[i]->backward(i == 0 ? input : outputs[i - 1],
+                                   outputs[i], grad);
+    return grad;
+}
+
 } // namespace cdma

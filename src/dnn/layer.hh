@@ -50,11 +50,13 @@ struct ParamBlob {
 };
 
 /**
- * Base class for all layers. Layers are stateful across a
- * forward()/backward() pair: forward() caches whatever backward() needs
- * (inputs, masks, column buffers), mirroring how real frameworks hold
- * activations alive between the passes — the very memory pressure vDNN
- * exists to relieve.
+ * Base class for all layers. A layer holds no copy of its input or its
+ * output between forward() and backward(): the caller keeps both in its
+ * activation stash (Network for the sequential pipeline, ParallelConcat
+ * for its branches) and hands them back to backward(). That stash is the
+ * memory vDNN exists to relieve. A layer keeps only what its forward
+ * pass computes and the two tensors cannot give back: Pool2D's argmax
+ * offsets, Dropout's mask and Lrn's per-element scale.
  */
 class Layer
 {
@@ -74,15 +76,22 @@ class Layer
     /** Output shape produced for a given input shape. */
     virtual Shape4D outputShape(const Shape4D &input) const = 0;
 
-    /** Forward propagation; caches state for backward(). */
+    /**
+     * Forward propagation. The caller keeps @p input and the returned
+     * output for backward(); the layer copies neither.
+     */
     virtual Tensor4D forward(const Tensor4D &input) = 0;
 
     /**
      * Backward propagation: consumes the gradient w.r.t. this layer's
      * output and returns the gradient w.r.t. its input, accumulating
-     * parameter gradients along the way.
+     * parameter gradients along the way. @p input and @p output are the
+     * tensors of the matching forward() call. A layer that keeps forward
+     * state (pool, dropout, LRN, a composite's branch stash) reads the
+     * state of its latest forward(), so that call must be the match.
      */
-    virtual Tensor4D backward(const Tensor4D &output_grad) = 0;
+    virtual Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                              const Tensor4D &output_grad) = 0;
 
     /** Learnable parameters (empty for ReLU/pool/...). */
     virtual std::vector<ParamBlob *> params() { return {}; }
@@ -120,6 +129,23 @@ class Layer
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/**
+ * Forward @p input through @p layers in order; @p outputs receives each
+ * layer's output (outputs[i] is layer i's), the stash backwardChain()
+ * reads.
+ */
+void forwardChain(std::vector<LayerPtr> &layers, const Tensor4D &input,
+                  std::vector<Tensor4D> &outputs);
+
+/**
+ * Backward through @p layers from the gradient w.r.t. the last output,
+ * passing layer i its input (@p input for layer 0, outputs[i-1] after)
+ * and its output from the stash forwardChain() filled. Returns the
+ * gradient w.r.t. @p input.
+ */
+Tensor4D backwardChain(std::vector<LayerPtr> &layers, const Tensor4D &input,
+                       const std::vector<Tensor4D> &outputs, Tensor4D grad);
 
 } // namespace cdma
 

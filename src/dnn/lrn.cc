@@ -19,7 +19,6 @@ Lrn::outputShape(const Shape4D &input) const
 Tensor4D
 Lrn::forward(const Tensor4D &input)
 {
-    cached_input_ = input;
     const Shape4D &shape = input.shape();
     Tensor4D output(shape);
     cached_scale_ = Tensor4D(shape);
@@ -51,14 +50,15 @@ Lrn::forward(const Tensor4D &input)
 }
 
 Tensor4D
-Lrn::backward(const Tensor4D &output_grad)
+Lrn::backward(const Tensor4D &input, const Tensor4D &output,
+              const Tensor4D &output_grad)
 {
+    (void)output;
     // Diagonal-only approximation of the LRN Jacobian: exact for the
     // self-term, omitting the (small, O(alpha)) cross-channel terms. This
     // keeps the backward pass O(N*C*H*W) and is a standard shortcut for
     // small-alpha LRN; gradients remain descent directions.
-    const Shape4D &shape = cached_input_.shape();
-    Tensor4D input_grad(shape);
+    Tensor4D input_grad(input.shape());
     auto dy = output_grad.data();
     auto scale = cached_scale_.data();
     auto dx = input_grad.data();

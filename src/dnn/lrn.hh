@@ -29,11 +29,11 @@ class Lrn : public Layer
     std::string type() const override { return "lrn"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 
   private:
     LrnSpec spec_;
-    Tensor4D cached_input_;
     Tensor4D cached_scale_; // the (k + alpha/n * sum sq) term per element
 };
 

@@ -30,13 +30,8 @@ const Tensor4D &
 Network::forward(const Tensor4D &input)
 {
     CDMA_ASSERT(!layers_.empty(), "forward through an empty network");
-    outputs_.clear();
-    outputs_.reserve(layers_.size());
-    const Tensor4D *current = &input;
-    for (auto &layer : layers_) {
-        outputs_.push_back(layer->forward(*current));
-        current = &outputs_.back();
-    }
+    input_ = input;
+    forwardChain(layers_, input_, outputs_);
     return outputs_.back();
 }
 
@@ -45,9 +40,7 @@ Network::backward(const Tensor4D &loss_grad)
 {
     CDMA_ASSERT(outputs_.size() == layers_.size(),
                 "backward before forward");
-    Tensor4D grad = loss_grad;
-    for (size_t i = layers_.size(); i-- > 0;)
-        grad = layers_[i]->backward(grad);
+    backwardChain(layers_, input_, outputs_, loss_grad);
 }
 
 void

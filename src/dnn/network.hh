@@ -2,11 +2,17 @@
  * @file
  * Sequential network container. Holds the layer pipeline, runs forward and
  * backward propagation layer-by-layer (the execution model vDNN's offload
- * scheduling assumes, Figure 1/2), retains every layer's output activation
- * map between the passes, and exposes per-layer activation density records
- * in the form the paper reports them (Figures 4-7): one record per
- * conv/pool/fc layer, measured after any in-place ReLU/LRN/dropout that
- * follows it.
+ * scheduling assumes, Figure 1/2), and exposes per-layer activation
+ * density records in the form the paper reports them (Figures 4-7): one
+ * record per conv/pool/fc layer, measured after any in-place
+ * ReLU/LRN/dropout that follows it.
+ *
+ * The network is the one activation stash of training: between the passes
+ * it holds a copy of the forward input and every layer's output, and
+ * backward() hands layer i its input (the stashed input for layer 0,
+ * outputs()[i-1] after) and outputs()[i]. Layers keep no copies of their
+ * own; those stashed maps are the ones vDNN offloads, with the input copy
+ * the first of them.
  */
 
 #ifndef CDMA_DNN_NETWORK_HH
@@ -29,7 +35,7 @@ struct ActivationRecord {
     bool relu_sparse = false; ///< fed through a ReLU (can be sparse)
 };
 
-/** Sequential layer pipeline with full activation retention. */
+/** Sequential layer pipeline that stashes every activation map. */
 class Network
 {
   public:
@@ -49,12 +55,16 @@ class Network
     Shape4D outputShape(const Shape4D &input) const;
 
     /**
-     * Forward propagation through every layer, retaining each layer's
-     * output (outputs()[i] is layer i's output activation map).
+     * Forward propagation through every layer, stashing a copy of
+     * @p input and each layer's output (outputs()[i] is layer i's output
+     * activation map).
      */
     const Tensor4D &forward(const Tensor4D &input);
 
-    /** Backward propagation from the loss gradient. */
+    /**
+     * Backward propagation from the loss gradient, reading every layer's
+     * input and output from the stash of the last forward().
+     */
     void backward(const Tensor4D &loss_grad);
 
     /** Apply SGD to every parameter blob, then clear gradients. */
@@ -85,6 +95,7 @@ class Network
 
   private:
     std::vector<LayerPtr> layers_;
+    Tensor4D input_; // layer 0's input: the first map vDNN offloads
     std::vector<Tensor4D> outputs_;
 };
 

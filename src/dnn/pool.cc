@@ -42,7 +42,6 @@ Pool2D::forwardMacsPerImage(const Shape4D &input) const
 Tensor4D
 Pool2D::forward(const Tensor4D &input)
 {
-    cached_input_shape_ = input.shape();
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D output(out_shape);
     if (spec_.mode == PoolMode::Max) {
@@ -95,9 +94,12 @@ Pool2D::forward(const Tensor4D &input)
 }
 
 Tensor4D
-Pool2D::backward(const Tensor4D &output_grad)
+Pool2D::backward(const Tensor4D &input, const Tensor4D &output,
+                 const Tensor4D &output_grad)
 {
-    Tensor4D input_grad(cached_input_shape_);
+    (void)output;
+    const Shape4D &in_shape = input.shape();
+    Tensor4D input_grad(in_shape);
     const Shape4D &out_shape = output_grad.shape();
 
     int64_t out_index = 0;
@@ -116,10 +118,10 @@ Pool2D::backward(const Tensor4D &output_grad)
                     } else {
                         const int64_t h0 = oh * spec_.stride;
                         const int64_t w0 = ow * spec_.stride;
-                        const int64_t h1 = std::min(
-                            h0 + spec_.kernel, cached_input_shape_.h);
-                        const int64_t w1 = std::min(
-                            w0 + spec_.kernel, cached_input_shape_.w);
+                        const int64_t h1 =
+                            std::min(h0 + spec_.kernel, in_shape.h);
+                        const int64_t w1 =
+                            std::min(w0 + spec_.kernel, in_shape.w);
                         const auto window = static_cast<float>(
                             (h1 - h0) * (w1 - w0));
                         for (int64_t h = h0; h < h1; ++h) {

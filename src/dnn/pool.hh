@@ -37,7 +37,8 @@ class Pool2D : public Layer
     std::string type() const override { return "pool"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
 
     /** Pooling geometry. */
     const PoolSpec &spec() const { return spec_; }
@@ -46,7 +47,6 @@ class Pool2D : public Layer
 
   private:
     PoolSpec spec_;
-    Shape4D cached_input_shape_;
     // For max pooling: the argmax linear offset per output element.
     std::vector<int64_t> argmax_;
 };

@@ -66,7 +66,6 @@ Rnn::outputShape(const Shape4D &input) const
 Tensor4D
 Rnn::forward(const Tensor4D &input)
 {
-    cached_input_ = input;
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D hidden(out_shape);
 
@@ -89,14 +88,15 @@ Rnn::forward(const Tensor4D &input)
             }
         }
     }
-    cached_hidden_ = hidden;
     return hidden;
 }
 
 Tensor4D
-Rnn::backward(const Tensor4D &output_grad)
+Rnn::backward(const Tensor4D &input, const Tensor4D &output,
+              const Tensor4D &output_grad)
 {
-    const Shape4D &in_shape = cached_input_.shape();
+    // output holds the (N, T, 1, H) post-activation hidden states.
+    const Shape4D &in_shape = input.shape();
     const int64_t steps = in_shape.c;
     Tensor4D input_grad(in_shape);
 
@@ -116,7 +116,7 @@ Rnn::backward(const Tensor4D &output_grad)
             std::fill(dh_next.begin(), dh_next.end(), 0.0f);
 
             for (int64_t h = 0; h < hidden_features_; ++h) {
-                const float out = cached_hidden_.at(n, t, 0, h);
+                const float out = output.at(n, t, 0, h);
                 const float dpre = dh[static_cast<size_t>(h)] *
                     activateGradFromOutput(out);
                 if (dpre == 0.0f)
@@ -127,7 +127,7 @@ Rnn::backward(const Tensor4D &output_grad)
                 const float *wx =
                     w_input_.value.data() + h * input_features_;
                 for (int64_t i = 0; i < input_features_; ++i) {
-                    dwx[i] += dpre * cached_input_.at(n, t, 0, i);
+                    dwx[i] += dpre * input.at(n, t, 0, i);
                     input_grad.at(n, t, 0, i) += dpre * wx[i];
                 }
                 if (t > 0) {
@@ -136,8 +136,7 @@ Rnn::backward(const Tensor4D &output_grad)
                     const float *wh =
                         w_hidden_.value.data() + h * hidden_features_;
                     for (int64_t j = 0; j < hidden_features_; ++j) {
-                        dwh[j] += dpre *
-                            cached_hidden_.at(n, t - 1, 0, j);
+                        dwh[j] += dpre * output.at(n, t - 1, 0, j);
                         dh_next[static_cast<size_t>(j)] += dpre * wh[j];
                     }
                 }

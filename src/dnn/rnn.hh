@@ -43,7 +43,8 @@ class Rnn : public Layer
     std::string type() const override { return "rnn"; }
     Shape4D outputShape(const Shape4D &input) const override;
     Tensor4D forward(const Tensor4D &input) override;
-    Tensor4D backward(const Tensor4D &output_grad) override;
+    Tensor4D backward(const Tensor4D &input, const Tensor4D &output,
+                      const Tensor4D &output_grad) override;
     std::vector<ParamBlob *> params() override;
 
     /** Cell nonlinearity. */
@@ -68,8 +69,6 @@ class Rnn : public Layer
     ParamBlob w_input_;  // [H][I]
     ParamBlob w_hidden_; // [H][H]
     ParamBlob bias_;     // [H]
-    Tensor4D cached_input_;
-    Tensor4D cached_hidden_; // (N, T, 1, H) post-activation states
 };
 
 } // namespace cdma

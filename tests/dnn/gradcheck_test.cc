@@ -53,7 +53,7 @@ void
 checkInputGradient(Layer &layer, Tensor4D input, double tolerance)
 {
     const Tensor4D y = layer.forward(input);
-    const Tensor4D analytic = layer.backward(halfSquaredGrad(y));
+    const Tensor4D analytic = layer.backward(input, y, halfSquaredGrad(y));
 
     const float eps = 1e-3f;
     auto data = input.data();
@@ -77,7 +77,7 @@ checkParamGradient(Layer &layer, const Tensor4D &input, double tolerance)
     for (ParamBlob *blob : layer.params())
         blob->clearGrad();
     const Tensor4D y = layer.forward(input);
-    layer.backward(halfSquaredGrad(y));
+    layer.backward(input, y, halfSquaredGrad(y));
 
     const float eps = 1e-3f;
     for (ParamBlob *blob : layer.params()) {
@@ -145,6 +145,18 @@ TEST(GradCheck, ReluInputGradient)
     checkInputGradient(relu, input, 1e-2);
 }
 
+TEST(GradCheck, SigmoidInputGradient)
+{
+    Sigmoid sigmoid("sigmoid");
+    checkInputGradient(sigmoid, randomInput({2, 3, 4, 4}, 11), 1e-2);
+}
+
+TEST(GradCheck, TanhInputGradient)
+{
+    Tanh tanh_layer("tanh");
+    checkInputGradient(tanh_layer, randomInput({2, 3, 4, 4}, 12), 1e-2);
+}
+
 TEST(GradCheck, AvgPoolInputGradient)
 {
     Pool2D pool("pool", PoolSpec{2, 2, PoolMode::Avg});
@@ -174,6 +186,23 @@ TEST(GradCheck, ParallelConcatGradients)
     ParallelConcat concat("concat", std::move(branches));
     checkInputGradient(concat, randomInput({1, 2, 4, 4}, 8), 2e-2);
     checkParamGradient(concat, randomInput({1, 2, 4, 4}, 9), 2e-2);
+}
+
+TEST(GradCheck, ParallelConcatTwoLayerBranches)
+{
+    // [conv, relu] branches: each relu reads its conv's output from the
+    // module's branch stash, and each conv the module input.
+    Rng rng(105);
+    std::vector<Branch> branches(2);
+    branches[0].push_back(std::make_unique<Conv2D>(
+        "b0", 2, ConvSpec{2, 1, 1, 0}, rng));
+    branches[0].push_back(std::make_unique<ReLU>("b0_relu"));
+    branches[1].push_back(std::make_unique<Conv2D>(
+        "b1", 2, ConvSpec{3, 3, 1, 1}, rng));
+    branches[1].push_back(std::make_unique<ReLU>("b1_relu"));
+    ParallelConcat concat("concat", std::move(branches));
+    checkInputGradient(concat, randomInput({1, 2, 4, 4}, 13), 2e-2);
+    checkParamGradient(concat, randomInput({1, 2, 4, 4}, 14), 2e-2);
 }
 
 TEST(GradCheck, SoftmaxCrossEntropyGradient)

@@ -1,5 +1,7 @@
 /** @file Unit tests for individual layer forward/backward behaviour. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -9,9 +11,94 @@
 #include "dnn/fc.hh"
 #include "dnn/lrn.hh"
 #include "dnn/pool.hh"
+#include "dnn/rnn.hh"
 
 namespace cdma {
 namespace {
+
+Tensor4D
+randomTensor(const Shape4D &shape, uint64_t seed)
+{
+    Rng rng(seed);
+    Tensor4D t(shape);
+    for (float &v : t.data())
+        v = static_cast<float>(rng.normal(0.0, 0.5));
+    return t;
+}
+
+std::vector<float>
+values(const Tensor4D &t)
+{
+    return {t.data().begin(), t.data().end()};
+}
+
+/**
+ * The no-copy contract: backward() reads the input and output it is
+ * handed, not copies of an earlier forward(). backward(x1, y1, dy) after
+ * an intervening forward(x2) must give exactly the input and parameter
+ * gradients taken straight after forward(x1).
+ */
+void
+expectBackwardReadsItsArguments(Layer &layer, const Shape4D &shape)
+{
+    const Tensor4D x1 = randomTensor(shape, 1);
+    const Tensor4D x2 = randomTensor(shape, 2);
+    const Tensor4D y1 = layer.forward(x1);
+    const Tensor4D dy = randomTensor(y1.shape(), 3);
+
+    const Tensor4D expected_dx = layer.backward(x1, y1, dy);
+    std::vector<std::vector<float>> expected_grads;
+    for (ParamBlob *blob : layer.params()) {
+        expected_grads.push_back(blob->grad);
+        blob->clearGrad();
+    }
+
+    layer.forward(x2);
+    const Tensor4D dx = layer.backward(x1, y1, dy);
+    EXPECT_EQ(values(dx), values(expected_dx));
+    const std::vector<ParamBlob *> blobs = layer.params();
+    for (size_t b = 0; b < blobs.size(); ++b)
+        EXPECT_EQ(blobs[b]->grad, expected_grads[b]) << "param blob " << b;
+}
+
+TEST(LayerStash, ConvBackwardReadsItsArguments)
+{
+    Rng rng(20);
+    Conv2D conv("conv", 2, ConvSpec{3, 3, 1, 1}, rng);
+    expectBackwardReadsItsArguments(conv, Shape4D{2, 2, 5, 5});
+}
+
+TEST(LayerStash, FcBackwardReadsItsArguments)
+{
+    Rng rng(21);
+    FullyConnected fc("fc", 12, 5, rng);
+    expectBackwardReadsItsArguments(fc, Shape4D{3, 3, 2, 2});
+}
+
+TEST(LayerStash, ReluBackwardReadsItsArguments)
+{
+    ReLU relu("relu");
+    expectBackwardReadsItsArguments(relu, Shape4D{2, 3, 4, 4});
+}
+
+TEST(LayerStash, SigmoidBackwardReadsItsArguments)
+{
+    Sigmoid sigmoid("sigmoid");
+    expectBackwardReadsItsArguments(sigmoid, Shape4D{2, 3, 4, 4});
+}
+
+TEST(LayerStash, TanhBackwardReadsItsArguments)
+{
+    Tanh tanh_layer("tanh");
+    expectBackwardReadsItsArguments(tanh_layer, Shape4D{2, 3, 4, 4});
+}
+
+TEST(LayerStash, RnnBackwardReadsItsArguments)
+{
+    Rng rng(22);
+    Rnn rnn("rnn", 3, 4, RnnActivation::ReLU, rng);
+    expectBackwardReadsItsArguments(rnn, Shape4D{2, 5, 1, 3});
+}
 
 TEST(ReluLayer, ThresholdsNegativesToExactZero)
 {
@@ -36,10 +123,10 @@ TEST(ReluLayer, BackwardMasksGradient)
     in.at(0, 0, 0, 0) = -1.0f;
     in.at(0, 0, 0, 1) = 3.0f;
     in.at(0, 0, 0, 2) = 0.0f;
-    relu.forward(in);
+    const Tensor4D out = relu.forward(in);
     Tensor4D dy(in.shape());
     dy.fill(1.0f);
-    const Tensor4D dx = relu.backward(dy);
+    const Tensor4D dx = relu.backward(in, out, dy);
     EXPECT_EQ(dx.at(0, 0, 0, 0), 0.0f);
     EXPECT_EQ(dx.at(0, 0, 0, 1), 1.0f);
     EXPECT_EQ(dx.at(0, 0, 0, 2), 0.0f);
@@ -174,10 +261,10 @@ TEST(PoolLayer, MaxBackwardRoutesToArgmax)
     in.at(0, 0, 0, 1) = 4.0f;
     in.at(0, 0, 1, 0) = -2.0f;
     in.at(0, 0, 1, 1) = 3.0f;
-    pool.forward(in);
+    const Tensor4D out = pool.forward(in);
     Tensor4D dy(Shape4D{1, 1, 1, 1});
     dy.fill(5.0f);
-    const Tensor4D dx = pool.backward(dy);
+    const Tensor4D dx = pool.backward(in, out, dy);
     EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 1), 5.0f);
     EXPECT_FLOAT_EQ(dx.at(0, 0, 0, 0), 0.0f);
     EXPECT_FLOAT_EQ(dx.at(0, 0, 1, 0), 0.0f);

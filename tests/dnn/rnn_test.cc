@@ -101,7 +101,7 @@ TEST(Rnn, GradCheckInputTanh)
     auto dys = dy.data();
     for (size_t i = 0; i < ys.size(); ++i)
         dys[i] = ys[i];
-    const Tensor4D analytic = rnn.backward(dy);
+    const Tensor4D analytic = rnn.backward(input, y, dy);
 
     const float eps = 1e-3f;
     auto data = input.data();
@@ -140,7 +140,7 @@ TEST(Rnn, GradCheckParamsTanh)
     auto dys = dy.data();
     for (size_t i = 0; i < ys.size(); ++i)
         dys[i] = ys[i];
-    rnn.backward(dy);
+    rnn.backward(input, y, dy);
 
     const float eps = 1e-3f;
     for (ParamBlob *blob : rnn.params()) {
