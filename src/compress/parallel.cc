@@ -180,41 +180,41 @@ ParallelCompressor::compressShards(std::span<const uint8_t> input,
         });
 }
 
-void
-ParallelCompressor::compressShardsInto(std::span<const uint8_t> input,
-                                       uint64_t windows_per_shard,
-                                       std::span<uint8_t> room,
-                                       std::span<uint32_t> window_sizes,
-                                       const RoomDrain &drain) const
+uint64_t
+ParallelCompressor::roomShardCount(uint64_t input_bytes,
+                                   uint64_t windows_per_shard,
+                                   std::span<const uint8_t> room,
+                                   std::span<const uint32_t> window_sizes) const
 {
     CDMA_ASSERT(windows_per_shard > 0, "shards need at least one window");
-    const uint64_t window_bytes = codec_->windowBytes();
-    const uint64_t windows = ceilDiv(input.size(), window_bytes);
+    const uint64_t windows = ceilDiv(input_bytes, codec_->windowBytes());
     CDMA_ASSERT(room.size() >=
-                        codec_->payloadBound(input.size(), 0, windows) &&
+                        codec_->payloadBound(input_bytes, 0, windows) &&
                     window_sizes.size() >= windows,
                 "a %zu-byte room with %zu framing entries cannot hold %llu "
                 "windows",
                 room.size(), window_sizes.size(),
                 static_cast<unsigned long long>(windows));
-    const uint64_t shards = ceilDiv(windows, windows_per_shard);
-    const uint64_t stride = codec_->compressedBound(window_bytes);
+    return ceilDiv(windows, windows_per_shard);
+}
 
-    std::vector<RoomShard> framed(shards);
-    runOrderedShardFanOut(
-        shards,
-        [&](uint64_t s) {
-            const uint64_t first = s * windows_per_shard;
-            RoomShard &shard = framed[s];
-            shard = compressShardTo(input, s, windows_per_shard,
-                                    room.data() + first * stride,
-                                    window_sizes.data() + first);
-            shard.offset = first * stride;
-            // The integrity frame, while the payload is still in cache.
-            shard.crc32c = codec_->kernels().crc32(
-                0, room.data() + shard.offset, shard.payload_bytes);
-        },
-        [&](uint64_t s) { return drain(framed[s]); });
+RoomShard
+ParallelCompressor::compressRoomShard(std::span<const uint8_t> input,
+                                      uint64_t s, uint64_t windows_per_shard,
+                                      std::span<uint8_t> room,
+                                      std::span<uint32_t> window_sizes) const
+{
+    const uint64_t first = s * windows_per_shard;
+    const uint64_t stride = codec_->compressedBound(codec_->windowBytes());
+    RoomShard shard =
+        compressShardTo(input, s, windows_per_shard,
+                        room.data() + first * stride,
+                        window_sizes.data() + first);
+    shard.offset = first * stride;
+    // The integrity frame, while the payload is still in cache.
+    shard.crc32c = codec_->kernels().crc32(0, room.data() + shard.offset,
+                                           shard.payload_bytes);
+    return shard;
 }
 
 StatusOr<ByteVec>

@@ -198,9 +198,6 @@ class ParallelCompressor
                         uint64_t windows_per_shard,
                         const ShardConsumer &consumer) const;
 
-    /** Receives each room shard once, in shard order; false stops. */
-    using RoomDrain = std::function<bool(const RoomShard &)>;
-
     /**
      * The zero-copy shard stream: compressShards() with every shard
      * compressed straight into @p room, the caller's memory, so no
@@ -211,16 +208,43 @@ class ParallelCompressor
      * s starts at byte first_window × compressedBound(windowBytes()),
      * and each lane computes its shard's CRC-32C there. The bytes
      * between one shard's payload end and the next shard's start are
-     * unspecified. @p drain runs on the calling thread for shard 0, 1,
-     * 2, ... as in compressShards(); returning false stops the stream,
-     * and unclaimed shards are never compressed. Framing and bytes are
+     * unspecified. @p drain, a bool(const RoomShard &) callable, runs
+     * on the calling thread for shard 0, 1, 2, ... as in
+     * compressShards(); returning false stops the stream, and
+     * unclaimed shards are never compressed. Framing and bytes are
      * identical to compressShards() on the same input.
+     *
+     * The drain is a template parameter, so a one-lane stream makes no
+     * type-erased call, and the framing of the shards in flight lives
+     * in a per-thread buffer the calls reuse: a stream allocates
+     * nothing once that buffer has grown.
      */
+    template <typename Drain>
     void compressShardsInto(std::span<const uint8_t> input,
                             uint64_t windows_per_shard,
                             std::span<uint8_t> room,
                             std::span<uint32_t> window_sizes,
-                            const RoomDrain &drain) const;
+                            Drain &&drain) const
+    {
+        const uint64_t shards = roomShardCount(
+            input.size(), windows_per_shard, room, window_sizes);
+        // Taken for the span of the call, so a drain that streams again
+        // on this thread gets a buffer of its own.
+        static thread_local std::vector<RoomShard> scratch;
+        std::vector<RoomShard> framed = std::move(scratch);
+        framed.resize(shards);
+        runOrderedShardFanOut(
+            shards,
+            [&](uint64_t s) {
+                framed[s] = compressRoomShard(input, s, windows_per_shard,
+                                              room, window_sizes);
+            },
+            [&](uint64_t s) {
+                const RoomShard &shard = framed[s];
+                return drain(shard);
+            });
+        scratch = std::move(framed);
+    }
 
     /**
      * The ordered shard fan-out behind compress(), decompress(), both
@@ -249,6 +273,24 @@ class ParallelCompressor
   private:
     /** Windows per shard when @p windows are cut one shard per lane. */
     uint64_t laneShardWindows(uint64_t windows) const;
+
+    /**
+     * Shards of a compressShardsInto() stream, after checking that
+     * @p room and @p window_sizes can hold every window.
+     */
+    uint64_t roomShardCount(uint64_t input_bytes,
+                            uint64_t windows_per_shard,
+                            std::span<const uint8_t> room,
+                            std::span<const uint32_t> window_sizes) const;
+
+    /**
+     * Shard @p s of a compressShardsInto() stream, compressed at its
+     * bound-strided offset of @p room with its CRC-32C.
+     */
+    RoomShard compressRoomShard(std::span<const uint8_t> input, uint64_t s,
+                                uint64_t windows_per_shard,
+                                std::span<uint8_t> room,
+                                std::span<uint32_t> window_sizes) const;
 
     /**
      * The shard core of every stream: compress shard @p s (windows

@@ -1,8 +1,39 @@
 #include "dnn/composite.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace cdma {
+
+namespace {
+
+/**
+ * Copy @p channels channels of every sample, from channel @p from_base
+ * of @p from to channel @p to_base of @p to (same N, H and W).
+ */
+void
+copyChannels(const Tensor4D &from, int64_t from_base, Tensor4D &to,
+             int64_t to_base, int64_t channels)
+{
+    const int64_t plane = from.shape().h * from.shape().w;
+    for (int64_t n = 0; n < from.shape().n; ++n) {
+        const float *src = sampleData(from, n) + from_base * plane;
+        std::copy(src, src + channels * plane,
+                  sampleData(to, n) + to_base * plane);
+    }
+}
+
+/** Channels [base, base + shape.c) of @p module, shaped @p shape. */
+Tensor4D
+channelSlice(const Tensor4D &module, int64_t base, const Shape4D &shape)
+{
+    Tensor4D slice(shape);
+    copyChannels(module, base, slice, 0, shape.c);
+    return slice;
+}
+
+} // namespace
 
 ParallelConcat::ParallelConcat(std::string name,
                                std::vector<Branch> branches)
@@ -51,18 +82,16 @@ ParallelConcat::forward(const Tensor4D &input)
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D output(out_shape);
 
+    // A branch's final output lives on only as its channel slice of the
+    // module output; backward() copies it back from there.
     int64_t channel_base = 0;
     for (size_t b = 0; b < branches_.size(); ++b) {
-        forwardChain(branches_[b], input, branch_outputs_[b]);
-        const Tensor4D &value = branch_outputs_[b].back();
-        const Shape4D &bs = value.shape();
-        for (int64_t n = 0; n < bs.n; ++n)
-            for (int64_t c = 0; c < bs.c; ++c)
-                for (int64_t h = 0; h < bs.h; ++h)
-                    for (int64_t w = 0; w < bs.w; ++w)
-                        output.at(n, channel_base + c, h, w) =
-                            value.at(n, c, h, w);
-        channel_base += bs.c;
+        std::vector<Tensor4D> &stash = branch_outputs_[b];
+        forwardChain(branches_[b], input, stash);
+        const int64_t channels = stash.back().shape().c;
+        copyChannels(stash.back(), 0, output, channel_base, channels);
+        channel_base += channels;
+        stash.pop_back();
     }
     return output;
 }
@@ -71,24 +100,19 @@ Tensor4D
 ParallelConcat::backward(const Tensor4D &input, const Tensor4D &output,
                          const Tensor4D &output_grad)
 {
-    (void)output;
     Tensor4D input_grad; // initialized by the first branch
 
     int64_t channel_base = 0;
     for (size_t b = 0; b < branches_.size(); ++b) {
-        const Shape4D &bs = branch_outputs_[b].back().shape();
-        Tensor4D branch_grad(bs);
-        for (int64_t n = 0; n < bs.n; ++n)
-            for (int64_t c = 0; c < bs.c; ++c)
-                for (int64_t h = 0; h < bs.h; ++h)
-                    for (int64_t w = 0; w < bs.w; ++w)
-                        branch_grad.at(n, c, h, w) =
-                            output_grad.at(n, channel_base + c, h, w);
+        const Shape4D bs = branchOutputShape(branches_[b], input.shape());
+        std::vector<Tensor4D> &stash = branch_outputs_[b];
+        stash.push_back(channelSlice(output, channel_base, bs));
+        Tensor4D grad =
+            backwardChain(branches_[b], input, stash,
+                          channelSlice(output_grad, channel_base, bs));
+        stash.pop_back();
         channel_base += bs.c;
 
-        Tensor4D grad = backwardChain(branches_[b], input,
-                                      branch_outputs_[b],
-                                      std::move(branch_grad));
         if (b == 0) {
             input_grad = std::move(grad);
         } else {

@@ -6,11 +6,13 @@
  * lets the surrounding Network remain a simple sequential pipeline — the
  * same abstraction vDNN's layer-at-a-time offload scheduling assumes.
  *
- * The module is its branches' activation stash: it keeps every sub-layer
- * output of its last forward() and hands them back to the sub-layers in
+ * The module is its branches' activation stash: it keeps the sub-layer
+ * outputs of its last forward() and hands them back to the sub-layers in
  * backward(), exactly as Network does for its layers. The module input
  * and output live in the surrounding Network's stash and arrive as
- * backward() arguments.
+ * backward() arguments. A branch's final output is not kept: it is a
+ * channel slice of the module output, and backward() copies it back
+ * from there for the span of the call.
  */
 
 #ifndef CDMA_DNN_COMPOSITE_HH
@@ -52,7 +54,8 @@ class ParallelConcat : public Layer
                               const Shape4D &input) const;
 
     std::vector<Branch> branches_;
-    // branch_outputs_[b][j]: output of sub-layer j of branch b.
+    // branch_outputs_[b][j]: output of sub-layer j of branch b, for every
+    // sub-layer but the last.
     std::vector<std::vector<Tensor4D>> branch_outputs_;
 };
 

@@ -1,10 +1,140 @@
 #include "dnn/conv.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "dnn/gemm.hh"
 
 namespace cdma {
+
+namespace {
+
+/**
+ * Outputs [lo, hi) along one axis whose input index
+ * o * stride + offset lies inside [0, in_extent).
+ */
+struct OutputSpan {
+    int64_t lo;
+    int64_t hi;
+};
+
+OutputSpan
+validOutputs(int64_t offset, int64_t stride, int64_t in_extent,
+             int64_t out_extent)
+{
+    const int64_t lo = std::min(
+        out_extent, offset >= 0 ? 0 : (stride - 1 - offset) / stride);
+    const int64_t limit = in_extent - offset;
+    const int64_t hi = limit <= 0 ? 0 : (limit + stride - 1) / stride;
+    return {lo, std::clamp(hi, lo, out_extent)};
+}
+
+/**
+ * Lower one C x H x W sample into its (C*K*K) x (Hout*Wout) column
+ * matrix: row (c, kh, kw) holds that patch element at every output
+ * position, zero where it falls in the padding.
+ */
+void
+im2col(const float *image, const Shape4D &in, const Shape4D &out,
+       const ConvSpec &spec, float *columns)
+{
+    const int64_t k = spec.kernel;
+    const int64_t spatial = out.h * out.w;
+    for (int64_t c = 0; c < in.c; ++c) {
+        for (int64_t kh = 0; kh < k; ++kh) {
+            const OutputSpan oh_span =
+                validOutputs(kh - spec.pad, spec.stride, in.h, out.h);
+            for (int64_t kw = 0; kw < k; ++kw) {
+                const OutputSpan ow_span =
+                    validOutputs(kw - spec.pad, spec.stride, in.w, out.w);
+                float *row = columns + ((c * k + kh) * k + kw) * spatial;
+                std::fill(row, row + oh_span.lo * out.w, 0.0f);
+                for (int64_t oh = oh_span.lo; oh < oh_span.hi; ++oh) {
+                    const float *src = image +
+                        (c * in.h + oh * spec.stride - spec.pad + kh) *
+                            in.w;
+                    float *dst = row + oh * out.w;
+                    std::fill(dst, dst + ow_span.lo, 0.0f);
+                    for (int64_t ow = ow_span.lo; ow < ow_span.hi; ++ow)
+                        dst[ow] = src[ow * spec.stride - spec.pad + kw];
+                    std::fill(dst + ow_span.hi, dst + out.w, 0.0f);
+                }
+                std::fill(row + oh_span.hi * out.w, row + spatial, 0.0f);
+            }
+        }
+    }
+}
+
+/**
+ * The transpose of im2col: one (C*K*K)-wide patch row per output
+ * position, in output order.
+ */
+void
+im2row(const float *image, const Shape4D &in, const Shape4D &out,
+       const ConvSpec &spec, float *rows)
+{
+    const int64_t k = spec.kernel;
+    const int64_t patch = in.c * k * k;
+    for (int64_t oh = 0; oh < out.h; ++oh) {
+        for (int64_t ow = 0; ow < out.w; ++ow) {
+            float *dst = rows + (oh * out.w + ow) * patch;
+            const int64_t iw0 = ow * spec.stride - spec.pad;
+            const int64_t kw_lo = std::clamp<int64_t>(-iw0, 0, k);
+            const int64_t kw_hi =
+                std::clamp<int64_t>(in.w - iw0, kw_lo, k);
+            for (int64_t c = 0; c < in.c; ++c) {
+                for (int64_t kh = 0; kh < k; ++kh) {
+                    float *d = dst + (c * k + kh) * k;
+                    const int64_t ih = oh * spec.stride - spec.pad + kh;
+                    if (ih < 0 || ih >= in.h) {
+                        std::fill(d, d + k, 0.0f);
+                        continue;
+                    }
+                    const float *src = image + (c * in.h + ih) * in.w;
+                    std::fill(d, d + kw_lo, 0.0f);
+                    for (int64_t kw = kw_lo; kw < kw_hi; ++kw)
+                        d[kw] = src[iw0 + kw];
+                    std::fill(d + kw_hi, d + k, 0.0f);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Add a column matrix back into one sample's C x H x W gradient image,
+ * patch row by patch row (the order the sums must keep).
+ */
+void
+col2im(const float *columns, const Shape4D &in, const Shape4D &out,
+       const ConvSpec &spec, float *image_grad)
+{
+    const int64_t k = spec.kernel;
+    const int64_t spatial = out.h * out.w;
+    for (int64_t c = 0; c < in.c; ++c) {
+        for (int64_t kh = 0; kh < k; ++kh) {
+            const OutputSpan oh_span =
+                validOutputs(kh - spec.pad, spec.stride, in.h, out.h);
+            for (int64_t kw = 0; kw < k; ++kw) {
+                const OutputSpan ow_span =
+                    validOutputs(kw - spec.pad, spec.stride, in.w, out.w);
+                const float *row =
+                    columns + ((c * k + kh) * k + kw) * spatial;
+                for (int64_t oh = oh_span.lo; oh < oh_span.hi; ++oh) {
+                    float *dst = image_grad +
+                        (c * in.h + oh * spec.stride - spec.pad + kh) *
+                            in.w;
+                    const float *src = row + oh * out.w;
+                    for (int64_t ow = ow_span.lo; ow < ow_span.hi; ++ow)
+                        dst[ow * spec.stride - spec.pad + kw] += src[ow];
+                }
+            }
+        }
+    }
+}
+
+} // namespace
 
 Conv2D::Conv2D(std::string name, int64_t in_channels, const ConvSpec &spec,
                Rng &rng)
@@ -63,100 +193,34 @@ Conv2D::forwardMacsPerImage(const Shape4D &input) const
     return forwardMacs(one, spec_);
 }
 
-void
-Conv2D::im2col(const Tensor4D &input, int64_t sample,
-               std::vector<float> &columns) const
-{
-    const Shape4D &in = input.shape();
-    const Shape4D out = outputShape(in);
-    const int64_t k = spec_.kernel;
-    const int64_t patch = in.c * k * k;
-    columns.assign(static_cast<size_t>(patch * out.h * out.w), 0.0f);
-
-    for (int64_t c = 0; c < in.c; ++c) {
-        for (int64_t kh = 0; kh < k; ++kh) {
-            for (int64_t kw = 0; kw < k; ++kw) {
-                const int64_t row = (c * k + kh) * k + kw;
-                for (int64_t oh = 0; oh < out.h; ++oh) {
-                    const int64_t ih = oh * spec_.stride - spec_.pad + kh;
-                    if (ih < 0 || ih >= in.h)
-                        continue;
-                    for (int64_t ow = 0; ow < out.w; ++ow) {
-                        const int64_t iw =
-                            ow * spec_.stride - spec_.pad + kw;
-                        if (iw < 0 || iw >= in.w)
-                            continue;
-                        columns[static_cast<size_t>(
-                            row * out.h * out.w + oh * out.w + ow)] =
-                            input.at(sample, c, ih, iw);
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-Conv2D::col2im(const std::vector<float> &columns, int64_t sample,
-               Tensor4D &input_grad) const
-{
-    const Shape4D &in = input_grad.shape();
-    const Shape4D out = outputShape(in);
-    const int64_t k = spec_.kernel;
-
-    for (int64_t c = 0; c < in.c; ++c) {
-        for (int64_t kh = 0; kh < k; ++kh) {
-            for (int64_t kw = 0; kw < k; ++kw) {
-                const int64_t row = (c * k + kh) * k + kw;
-                for (int64_t oh = 0; oh < out.h; ++oh) {
-                    const int64_t ih = oh * spec_.stride - spec_.pad + kh;
-                    if (ih < 0 || ih >= in.h)
-                        continue;
-                    for (int64_t ow = 0; ow < out.w; ++ow) {
-                        const int64_t iw =
-                            ow * spec_.stride - spec_.pad + kw;
-                        if (iw < 0 || iw >= in.w)
-                            continue;
-                        input_grad.at(sample, c, ih, iw) +=
-                            columns[static_cast<size_t>(
-                                row * out.h * out.w + oh * out.w + ow)];
-                    }
-                }
-            }
-        }
-    }
-}
-
 Tensor4D
 Conv2D::forward(const Tensor4D &input)
 {
-    const Shape4D out_shape = outputShape(input.shape());
+    const Shape4D &in_shape = input.shape();
+    const Shape4D out_shape = outputShape(in_shape);
     Tensor4D output(out_shape);
 
     const int64_t patch = in_channels_ * spec_.kernel * spec_.kernel;
     const int64_t spatial = out_shape.h * out_shape.w;
-    std::vector<float> columns;
+    std::vector<float> columns(static_cast<size_t>(patch * spatial));
 
-    for (int64_t n = 0; n < input.shape().n; ++n) {
-        im2col(input, n, columns);
-        // GEMM: output[oc][s] = sum_p weights[oc][p] * columns[p][s].
-        for (int64_t oc = 0; oc < spec_.out_channels; ++oc) {
-            const float *w_row =
-                weights_.value.data() + oc * patch;
-            const float b = bias_.value[static_cast<size_t>(oc)];
-            float *out_row = &output.at(n, oc, 0, 0);
-            for (int64_t s = 0; s < spatial; ++s)
-                out_row[s] = b;
-            for (int64_t p = 0; p < patch; ++p) {
-                const float w = w_row[p];
-                if (w == 0.0f)
-                    continue;
-                const float *col_row =
-                    columns.data() + static_cast<size_t>(p * spatial);
-                for (int64_t s = 0; s < spatial; ++s)
-                    out_row[s] += w * col_row[s];
-            }
-        }
+    for (int64_t n = 0; n < in_shape.n; ++n) {
+        im2col(sampleData(input, n), in_shape, out_shape, spec_,
+               columns.data());
+        // output[oc][s] = bias[oc] + sum_p weights[oc][p] * columns[p][s]
+        gemm({.rows = spec_.out_channels,
+              .cols = spatial,
+              .depth = patch,
+              .a = weights_.value.data(),
+              .a_row_stride = patch,
+              .a_depth_stride = 1,
+              .b = columns.data(),
+              .ldb = spatial,
+              .c = sampleData(output, n),
+              .ldc = spatial,
+              .start = GemmStart::RowBias,
+              .row_bias = bias_.value.data(),
+              .skip_zero_a = true});
     }
     return output;
 }
@@ -167,57 +231,57 @@ Conv2D::backward(const Tensor4D &input, const Tensor4D &output,
 {
     const Shape4D &in_shape = input.shape();
     const Shape4D &out_shape = output.shape();
-    CDMA_ASSERT(output_grad.shape() == out_shape,
+    CDMA_ASSERT(output_grad.shape() == out_shape &&
+                    outputShape(in_shape) == out_shape,
                 "conv %s backward shape mismatch", name().c_str());
 
     Tensor4D input_grad(in_shape);
     const int64_t patch = in_channels_ * spec_.kernel * spec_.kernel;
     const int64_t spatial = out_shape.h * out_shape.w;
-
-    std::vector<float> columns;
-    std::vector<float> col_grad(
-        static_cast<size_t>(patch * spatial), 0.0f);
+    std::vector<float> rows(static_cast<size_t>(spatial * patch));
+    std::vector<float> col_grad(static_cast<size_t>(patch * spatial));
 
     for (int64_t n = 0; n < in_shape.n; ++n) {
-        im2col(input, n, columns);
+        const float *dy = sampleData(output_grad, n);
 
-        // dW[oc][p] += sum_s dY[oc][s] * columns[p][s]
-        // db[oc]    += sum_s dY[oc][s]
+        // db[oc] += sum_s dY[oc][s]
         for (int64_t oc = 0; oc < spec_.out_channels; ++oc) {
-            const float *dy_row = output_grad.data().data() +
-                linearIndex(out_shape, output_grad.layout(), n, oc, 0, 0);
-            float *dw_row = weights_.grad.data() + oc * patch;
+            const float *dy_row = dy + oc * spatial;
             float dbias = 0.0f;
             for (int64_t s = 0; s < spatial; ++s)
                 dbias += dy_row[s];
             bias_.grad[static_cast<size_t>(oc)] += dbias;
-            for (int64_t p = 0; p < patch; ++p) {
-                const float *col_row =
-                    columns.data() + static_cast<size_t>(p * spatial);
-                float acc = 0.0f;
-                for (int64_t s = 0; s < spatial; ++s)
-                    acc += dy_row[s] * col_row[s];
-                dw_row[p] += acc;
-            }
         }
 
+        // dW[oc][p] += sum_s dY[oc][s] * rows[s][p]
+        im2row(sampleData(input, n), in_shape, out_shape, spec_,
+               rows.data());
+        gemm({.rows = spec_.out_channels,
+              .cols = patch,
+              .depth = spatial,
+              .a = dy,
+              .a_row_stride = spatial,
+              .a_depth_stride = 1,
+              .b = rows.data(),
+              .ldb = patch,
+              .c = weights_.grad.data(),
+              .ldc = patch,
+              .add_to_dest = true});
+
         // dCols[p][s] = sum_oc W[oc][p] * dY[oc][s], then col2im.
-        std::fill(col_grad.begin(), col_grad.end(), 0.0f);
-        for (int64_t oc = 0; oc < spec_.out_channels; ++oc) {
-            const float *dy_row = output_grad.data().data() +
-                linearIndex(out_shape, output_grad.layout(), n, oc, 0, 0);
-            const float *w_row = weights_.value.data() + oc * patch;
-            for (int64_t p = 0; p < patch; ++p) {
-                const float w = w_row[p];
-                if (w == 0.0f)
-                    continue;
-                float *cg_row =
-                    col_grad.data() + static_cast<size_t>(p * spatial);
-                for (int64_t s = 0; s < spatial; ++s)
-                    cg_row[s] += w * dy_row[s];
-            }
-        }
-        col2im(col_grad, n, input_grad);
+        gemm({.rows = patch,
+              .cols = spatial,
+              .depth = spec_.out_channels,
+              .a = weights_.value.data(),
+              .a_row_stride = 1,
+              .a_depth_stride = patch,
+              .b = dy,
+              .ldb = spatial,
+              .c = col_grad.data(),
+              .ldc = spatial,
+              .skip_zero_a = true});
+        col2im(col_grad.data(), in_shape, out_shape, spec_,
+               sampleData(input_grad, n));
     }
     return input_grad;
 }

@@ -1,9 +1,12 @@
 /**
  * @file
  * 2-D convolution layer implemented the way cuDNN's GEMM path works
- * (Section VI references [17]): im2col lowering followed by a dense
- * matrix multiply. The same lowering is reused for the backward data and
- * weight gradients.
+ * (Section VI references [17]): each sample is lowered into a patch
+ * matrix and multiplied by the weights on the shared GEMM kernel
+ * (dnn/gemm.hh). The forward pass and the input gradient use the
+ * im2col form (one row per patch element; col2im scatters the input
+ * gradient back); the weight gradient uses the im2row form (one row
+ * per output position), so its sums run across weights.
  */
 
 #ifndef CDMA_DNN_CONV_HH
@@ -52,14 +55,6 @@ class Conv2D : public Layer
     uint64_t forwardMacsPerImage(const Shape4D &input) const override;
 
   private:
-    /** Lower one sample into a (C*K*K) x (Hout*Wout) column matrix. */
-    void im2col(const Tensor4D &input, int64_t sample,
-                std::vector<float> &columns) const;
-
-    /** Scatter a column matrix back into a padded gradient image. */
-    void col2im(const std::vector<float> &columns, int64_t sample,
-                Tensor4D &input_grad) const;
-
     int64_t in_channels_;
     ConvSpec spec_;
     ParamBlob weights_; // [out_c][in_c * k * k]

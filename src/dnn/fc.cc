@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "dnn/gemm.hh"
 
 namespace cdma {
 
@@ -35,22 +36,34 @@ FullyConnected::forward(const Tensor4D &input)
 {
     const Shape4D out_shape = outputShape(input.shape());
     Tensor4D output(out_shape);
+    const int64_t batch = out_shape.n;
 
     // The NCHW linear storage of one sample is already the flattened
-    // feature vector.
-    auto in = input.data();
-    auto out = output.data();
-    for (int64_t n = 0; n < out_shape.n; ++n) {
-        const float *x = in.data() + n * in_features_;
-        float *y = out.data() + n * out_features_;
-        for (int64_t o = 0; o < out_features_; ++o) {
-            const float *w = weights_.value.data() + o * in_features_;
-            float acc = bias_.value[static_cast<size_t>(o)];
-            for (int64_t i = 0; i < in_features_; ++i)
-                acc += w[i] * x[i];
-            y[o] = acc;
-        }
-    }
+    // feature vector. The GEMM runs on the transposes, with one column
+    // per sample, so each sum's terms run along the features:
+    // y^T[o][n] = bias[o] + sum_i W[o][i] * x^T[i][n].
+    const float *x = sampleData(input, 0);
+    std::vector<float> x_t(static_cast<size_t>(in_features_ * batch));
+    for (int64_t n = 0; n < batch; ++n)
+        for (int64_t i = 0; i < in_features_; ++i)
+            x_t[static_cast<size_t>(i * batch + n)] = x[n * in_features_ + i];
+    std::vector<float> y_t(static_cast<size_t>(out_features_ * batch));
+    gemm({.rows = out_features_,
+          .cols = batch,
+          .depth = in_features_,
+          .a = weights_.value.data(),
+          .a_row_stride = in_features_,
+          .a_depth_stride = 1,
+          .b = x_t.data(),
+          .ldb = batch,
+          .c = y_t.data(),
+          .ldc = batch,
+          .start = GemmStart::RowBias,
+          .row_bias = bias_.value.data()});
+    float *y = sampleData(output, 0);
+    for (int64_t n = 0; n < batch; ++n)
+        for (int64_t o = 0; o < out_features_; ++o)
+            y[n * out_features_ + o] = y_t[static_cast<size_t>(o * batch + n)];
     return output;
 }
 
@@ -60,27 +73,44 @@ FullyConnected::backward(const Tensor4D &input, const Tensor4D &output,
 {
     (void)output;
     const Shape4D &in_shape = input.shape();
+    CDMA_ASSERT(output_grad.shape() == outputShape(in_shape),
+                "fc %s backward shape mismatch", name().c_str());
     Tensor4D input_grad(in_shape);
+    const int64_t batch = in_shape.n;
+    const float *x = sampleData(input, 0);
+    const float *dy = sampleData(output_grad, 0);
 
-    auto x = input.data();
-    auto dy = output_grad.data();
-    auto dx = input_grad.data();
-
-    for (int64_t n = 0; n < in_shape.n; ++n) {
-        const float *x_row = x.data() + n * in_features_;
-        const float *dy_row = dy.data() + n * out_features_;
-        float *dx_row = dx.data() + n * in_features_;
+    // A zero dY[n][o] adds no term anywhere (skip_zero_a).
+    // dX[n][i] = sum_o dY[n][o] * W[o][i]
+    gemm({.rows = batch,
+          .cols = in_features_,
+          .depth = out_features_,
+          .a = dy,
+          .a_row_stride = out_features_,
+          .a_depth_stride = 1,
+          .b = weights_.value.data(),
+          .ldb = in_features_,
+          .c = sampleData(input_grad, 0),
+          .ldc = in_features_,
+          .skip_zero_a = true});
+    // dW[o][i] += dY[n][o] * x[n][i], sample by sample.
+    gemm({.rows = out_features_,
+          .cols = in_features_,
+          .depth = batch,
+          .a = dy,
+          .a_row_stride = 1,
+          .a_depth_stride = out_features_,
+          .b = x,
+          .ldb = in_features_,
+          .c = weights_.grad.data(),
+          .ldc = in_features_,
+          .start = GemmStart::Dest,
+          .skip_zero_a = true});
+    for (int64_t n = 0; n < batch; ++n) {
         for (int64_t o = 0; o < out_features_; ++o) {
-            const float g = dy_row[o];
-            if (g == 0.0f)
-                continue;
-            float *dw = weights_.grad.data() + o * in_features_;
-            const float *w = weights_.value.data() + o * in_features_;
-            for (int64_t i = 0; i < in_features_; ++i) {
-                dw[i] += g * x_row[i];
-                dx_row[i] += g * w[i];
-            }
-            bias_.grad[static_cast<size_t>(o)] += g;
+            const float g = dy[n * out_features_ + o];
+            if (g != 0.0f)
+                bias_.grad[static_cast<size_t>(o)] += g;
         }
     }
     return input_grad;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+
 namespace cdma {
 
 void
@@ -23,6 +25,23 @@ ParamBlob::apply(const SgdConfig &config)
 
 Layer::Layer(std::string name) : name_(std::move(name))
 {
+}
+
+const float *
+sampleData(const Tensor4D &t, int64_t n)
+{
+    CDMA_ASSERT(t.layout() == Layout::NCHW,
+                "layers run on NCHW tensors, got %s",
+                layoutName(t.layout()).c_str());
+    const Shape4D &s = t.shape();
+    return t.data().data() + n * s.c * s.h * s.w;
+}
+
+float *
+sampleData(Tensor4D &t, int64_t n)
+{
+    return const_cast<float *>(
+        sampleData(static_cast<const Tensor4D &>(t), n));
 }
 
 void

@@ -56,7 +56,7 @@ struct ParamBlob {
  * for its branches) and hands them back to backward(). That stash is the
  * memory vDNN exists to relieve. A layer keeps only what its forward
  * pass computes and the two tensors cannot give back: Pool2D's argmax
- * offsets, Dropout's mask and Lrn's per-element scale.
+ * offsets, Dropout's mask and Lrn's per-element factor.
  */
 class Layer
 {
@@ -129,6 +129,13 @@ class Layer
 };
 
 using LayerPtr = std::unique_ptr<Layer>;
+
+/**
+ * Sample @p n of @p t: its contiguous C x H x W block. The layers run
+ * on NCHW tensors and walk them through these pointers.
+ */
+const float *sampleData(const Tensor4D &t, int64_t n);
+float *sampleData(Tensor4D &t, int64_t n);
 
 /**
  * Forward @p input through @p layers in order; @p outputs receives each

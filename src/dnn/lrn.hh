@@ -34,7 +34,9 @@ class Lrn : public Layer
 
   private:
     LrnSpec spec_;
-    Tensor4D cached_scale_; // the (k + alpha/n * sum sq) term per element
+    // (k + alpha/n * sum sq)^-beta per element, the factor both passes
+    // multiply by.
+    Tensor4D cached_factor_;
 };
 
 } // namespace cdma

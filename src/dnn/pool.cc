@@ -42,51 +42,51 @@ Pool2D::forwardMacsPerImage(const Shape4D &input) const
 Tensor4D
 Pool2D::forward(const Tensor4D &input)
 {
-    const Shape4D out_shape = outputShape(input.shape());
+    const Shape4D &in_shape = input.shape();
+    const Shape4D out_shape = outputShape(in_shape);
     Tensor4D output(out_shape);
     if (spec_.mode == PoolMode::Max) {
         argmax_.assign(static_cast<size_t>(out_shape.elements()), -1);
     }
 
+    // One (n, c) plane at a time; argmax_ holds offsets into the whole
+    // NCHW input.
+    const float *x = sampleData(input, 0);
+    float *y = sampleData(output, 0);
+    const int64_t in_plane = in_shape.h * in_shape.w;
     int64_t out_index = 0;
-    for (int64_t n = 0; n < out_shape.n; ++n) {
-        for (int64_t c = 0; c < out_shape.c; ++c) {
-            for (int64_t oh = 0; oh < out_shape.h; ++oh) {
-                for (int64_t ow = 0; ow < out_shape.w; ++ow) {
-                    const int64_t h0 = oh * spec_.stride;
-                    const int64_t w0 = ow * spec_.stride;
-                    const int64_t h1 =
-                        std::min(h0 + spec_.kernel, input.shape().h);
-                    const int64_t w1 =
-                        std::min(w0 + spec_.kernel, input.shape().w);
-                    if (spec_.mode == PoolMode::Max) {
-                        float best =
-                            -std::numeric_limits<float>::infinity();
-                        int64_t best_off = -1;
-                        for (int64_t h = h0; h < h1; ++h) {
-                            for (int64_t w = w0; w < w1; ++w) {
-                                const float v = input.at(n, c, h, w);
-                                if (v > best) {
-                                    best = v;
-                                    best_off = linearIndex(
-                                        input.shape(), input.layout(),
-                                        n, c, h, w);
-                                }
+    for (int64_t p = 0; p < out_shape.n * out_shape.c; ++p) {
+        const int64_t base = p * in_plane;
+        for (int64_t oh = 0; oh < out_shape.h; ++oh) {
+            for (int64_t ow = 0; ow < out_shape.w; ++ow) {
+                const int64_t h0 = oh * spec_.stride;
+                const int64_t w0 = ow * spec_.stride;
+                const int64_t h1 = std::min(h0 + spec_.kernel, in_shape.h);
+                const int64_t w1 = std::min(w0 + spec_.kernel, in_shape.w);
+                if (spec_.mode == PoolMode::Max) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    int64_t best_off = -1;
+                    for (int64_t h = h0; h < h1; ++h) {
+                        for (int64_t w = w0; w < w1; ++w) {
+                            const int64_t off = base + h * in_shape.w + w;
+                            if (x[off] > best) {
+                                best = x[off];
+                                best_off = off;
                             }
                         }
-                        output.at(n, c, oh, ow) = best;
-                        argmax_[static_cast<size_t>(out_index)] = best_off;
-                    } else {
-                        float sum = 0.0f;
-                        for (int64_t h = h0; h < h1; ++h)
-                            for (int64_t w = w0; w < w1; ++w)
-                                sum += input.at(n, c, h, w);
-                        const auto window = static_cast<float>(
-                            (h1 - h0) * (w1 - w0));
-                        output.at(n, c, oh, ow) = sum / window;
                     }
-                    ++out_index;
+                    y[out_index] = best;
+                    argmax_[static_cast<size_t>(out_index)] = best_off;
+                } else {
+                    float sum = 0.0f;
+                    for (int64_t h = h0; h < h1; ++h)
+                        for (int64_t w = w0; w < w1; ++w)
+                            sum += x[base + h * in_shape.w + w];
+                    const auto window =
+                        static_cast<float>((h1 - h0) * (w1 - w0));
+                    y[out_index] = sum / window;
                 }
+                ++out_index;
             }
         }
     }
@@ -102,36 +102,34 @@ Pool2D::backward(const Tensor4D &input, const Tensor4D &output,
     Tensor4D input_grad(in_shape);
     const Shape4D &out_shape = output_grad.shape();
 
+    const float *dy = sampleData(output_grad, 0);
+    float *dx = sampleData(input_grad, 0);
+    const int64_t in_plane = in_shape.h * in_shape.w;
     int64_t out_index = 0;
-    for (int64_t n = 0; n < out_shape.n; ++n) {
-        for (int64_t c = 0; c < out_shape.c; ++c) {
-            for (int64_t oh = 0; oh < out_shape.h; ++oh) {
-                for (int64_t ow = 0; ow < out_shape.w; ++ow) {
-                    const float dy = output_grad.at(n, c, oh, ow);
-                    if (spec_.mode == PoolMode::Max) {
-                        const int64_t off =
-                            argmax_[static_cast<size_t>(out_index)];
-                        if (off >= 0) {
-                            input_grad.data()[static_cast<size_t>(off)] +=
-                                dy;
-                        }
-                    } else {
-                        const int64_t h0 = oh * spec_.stride;
-                        const int64_t w0 = ow * spec_.stride;
-                        const int64_t h1 =
-                            std::min(h0 + spec_.kernel, in_shape.h);
-                        const int64_t w1 =
-                            std::min(w0 + spec_.kernel, in_shape.w);
-                        const auto window = static_cast<float>(
-                            (h1 - h0) * (w1 - w0));
-                        for (int64_t h = h0; h < h1; ++h) {
-                            for (int64_t w = w0; w < w1; ++w) {
-                                input_grad.at(n, c, h, w) += dy / window;
-                            }
-                        }
-                    }
-                    ++out_index;
+    for (int64_t p = 0; p < out_shape.n * out_shape.c; ++p) {
+        const int64_t base = p * in_plane;
+        for (int64_t oh = 0; oh < out_shape.h; ++oh) {
+            for (int64_t ow = 0; ow < out_shape.w; ++ow) {
+                const float g = dy[out_index];
+                if (spec_.mode == PoolMode::Max) {
+                    const int64_t off =
+                        argmax_[static_cast<size_t>(out_index)];
+                    if (off >= 0)
+                        dx[off] += g;
+                } else {
+                    const int64_t h0 = oh * spec_.stride;
+                    const int64_t w0 = ow * spec_.stride;
+                    const int64_t h1 =
+                        std::min(h0 + spec_.kernel, in_shape.h);
+                    const int64_t w1 =
+                        std::min(w0 + spec_.kernel, in_shape.w);
+                    const auto window =
+                        static_cast<float>((h1 - h0) * (w1 - w0));
+                    for (int64_t h = h0; h < h1; ++h)
+                        for (int64_t w = w0; w < w1; ++w)
+                            dx[base + h * in_shape.w + w] += g / window;
                 }
+                ++out_index;
             }
         }
     }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "compress/kernels/kernels.hh"
 #include "data/synthetic.hh"
 #include "dnn/trainer.hh"
 #include "models/scaled.hh"
@@ -128,6 +129,41 @@ TEST(Training, EvaluateUsesHeldOutStream)
     const double a = trainer.evaluate(2);
     EXPECT_GE(a, 0.0);
     EXPECT_LE(a, 1.0);
+}
+
+TEST(Training, ParameterCrcPinned)
+{
+    // Five SGD steps (batch 8, seed 7) on each scaled network, then one
+    // CRC-32C over every parameter value in layer order. The values were
+    // recorded before the layers moved onto the shared GEMM kernel
+    // (dnn/gemm.hh); every kernel backend must keep them, so any drift
+    // in the trainer's floating-point results fails here.
+    const std::pair<const char *, uint32_t> pinned[] = {
+        {"AlexNet", 0x684fb9bfu},  {"OverFeat", 0xdc681f6bu},
+        {"NiN", 0xc62e97afu},      {"VGG", 0xaecf3b59u},
+        {"SqueezeNet", 0x942b1855u}, {"GoogLeNet", 0x7a5ed78bu},
+    };
+    for (const auto &[name, crc] : pinned) {
+        Rng rng(7);
+        Network net = buildScaledByName(name, rng);
+        SyntheticDataConfig data;
+        data.seed = 7;
+        SyntheticDataset dataset(data);
+        TrainConfig config;
+        config.iterations = 5;
+        config.batch_size = 8;
+        config.snapshot_every = 5;
+        Trainer(net, dataset, config).run();
+        uint32_t got = 0;
+        for (size_t i = 0; i < net.size(); ++i) {
+            for (const ParamBlob *blob : net.layer(i).params()) {
+                got = scalarKernels().crc32(
+                    got, reinterpret_cast<const uint8_t *>(blob->value.data()),
+                    blob->value.size() * sizeof(float));
+            }
+        }
+        EXPECT_EQ(got, crc) << name;
+    }
 }
 
 } // namespace
