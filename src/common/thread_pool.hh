@@ -8,7 +8,9 @@
  * caller in index order, so a pool of N threads gives N+1 lanes and a
  * pool of zero threads degrades to a plain serial loop with no
  * synchronization. Tasks never leave the pool detached: every dispatch
- * joins its helpers before it returns.
+ * joins its helpers before it returns. A dispatch allocates nothing:
+ * work and drain are passed by reference, and the queue links the
+ * call's frame-local state.
  */
 
 #ifndef CDMA_COMMON_THREAD_POOL_HH
@@ -16,11 +18,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
+
+#include "common/function_ref.hh"
 
 namespace cdma {
 
@@ -28,6 +30,9 @@ namespace cdma {
 class ThreadPool
 {
   public:
+    /** Most indices one orderedFanOut() holds between claim and drain. */
+    static constexpr uint64_t kMaxInFlight = 64;
+
     /**
      * @param lanes Total execution lanes, including the calling thread:
      *        the pool spawns (lanes - 1) workers. 0 means "one lane per
@@ -36,6 +41,9 @@ class ThreadPool
      */
     explicit ThreadPool(unsigned lanes = 0);
     ~ThreadPool();
+
+    /** One lane per hardware thread (at least one): ThreadPool(0)'s. */
+    static unsigned hardwareLanes();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
@@ -50,17 +58,29 @@ class ThreadPool
     bool hasWorkers() const { return !workers_.empty(); }
 
     /**
-     * The ordered fan-out: every lane runs @p work on indices it claims
-     * from one shared counter, and the calling thread runs @p drain for
-     * index 0, 1, 2, ... as soon as each index — and every index before
-     * it — has completed. The caller is a lane too: while the next index
-     * to drain is still being worked elsewhere, it claims and works an
-     * unclaimed index, then checks again. Without workers (or with
-     * fewer than two indices) it runs work(i), drain(i) for each index
-     * in turn, inline.
+     * The ordered fan-out: every lane runs work(i, lane) on indices i it
+     * claims from one shared counter, and the calling thread runs
+     * @p drain for index 0, 1, 2, ... as soon as each index — and every
+     * index before it — has completed. The caller is a lane too: while
+     * the next index to drain is still being worked elsewhere, it claims
+     * and works an unclaimed index, then checks again. Without workers
+     * (or with fewer than two indices, or a window of 1) it runs
+     * work(i, 0), drain(i) for each index in turn, inline.
+     *
+     * `lane` numbers the lane running the work: the caller is lane 0 and
+     * each helper takes its own number as it starts, so lane is below
+     * min(lanes(), count, window) and no two works running at once share
+     * it. State a caller keeps per lane is the running work's alone.
+     *
+     * At most @p window indices (kMaxInFlight when 0 or larger) are
+     * claimed and not yet drained at any time: index i starts only after
+     * drain(i - window) has returned. So state a caller keeps per index
+     * at slot i % window is free again when index i claims it, and
+     * per-index results need window slots, not count.
      *
      * @p work may run on any lane, concurrently with other indices' work
-     * and with @p drain, so it must only touch its own index's state.
+     * and with @p drain, so it must only touch its own index's and
+     * lane's state.
      * @p drain returns false to stop: unclaimed indices are abandoned
      * and no later index is drained. Every exit path (including a
      * throwing @p drain) joins the helpers before the call returns; a
@@ -71,19 +91,23 @@ class ThreadPool
      * calls from within @p work are not supported.
      */
     void orderedFanOut(uint64_t count,
-                       const std::function<void(uint64_t)> &work,
-                       const std::function<bool(uint64_t)> &drain);
+                       FunctionRef<void(uint64_t, unsigned)> work,
+                       FunctionRef<bool(uint64_t)> drain,
+                       uint64_t window = 0);
 
   private:
-    /** Enqueue @p task on a worker; orderedFanOut() owns the join. */
-    void submitDetached(std::function<void()> task);
+    /** The frame-local state of one orderedFanOut() call. */
+    struct FanOut;
 
     void workerLoop();
 
     std::vector<std::thread> workers_;
     std::mutex mutex_;
     std::condition_variable work_cv_;
-    std::queue<std::function<void()>> tasks_;
+    /** Fan-outs with helpers not yet started, oldest first, linked
+     *  through their own state (guarded by mutex_). */
+    FanOut *queue_head_ = nullptr;
+    FanOut *queue_tail_ = nullptr;
     bool stopping_ = false;
 };
 

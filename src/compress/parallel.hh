@@ -258,7 +258,8 @@ class ParallelCompressor
                                Drain &&drain) const
     {
         if (pool_ && pool_->hasWorkers() && shards >= 2) {
-            pool_->orderedFanOut(shards, work, drain);
+            pool_->orderedFanOut(
+                shards, [&](uint64_t s, unsigned) { work(s); }, drain);
             return;
         }
         // One lane: work and drain shards alternately on this thread,

@@ -22,10 +22,8 @@ ReLU::forward(const Tensor4D &input)
     Tensor4D output(input.shape(), input.layout());
     auto in = input.data();
     auto out = output.data();
-    for (size_t i = 0; i < in.size(); ++i) {
-        if (in[i] > 0.0f)
-            out[i] = in[i];
-    }
+    for (size_t i = 0; i < in.size(); ++i)
+        out[i] = in[i] > 0.0f ? in[i] : 0.0f;
     return output;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/logging.hh"
 #include "dnn/gemm.hh"
@@ -202,11 +203,16 @@ Conv2D::forward(const Tensor4D &input)
 
     const int64_t patch = in_channels_ * spec_.kernel * spec_.kernel;
     const int64_t spatial = out_shape.h * out_shape.w;
-    std::vector<float> columns(static_cast<size_t>(patch * spatial));
+    const size_t matrix = static_cast<size_t>(patch * spatial);
+    const unsigned lanes = sampleLanes(
+        in_shape.n, forwardMacs(in_shape, spec_) / kGemmMacsPerOp);
+    // Uninitialized: im2col writes every element.
+    const auto columns = std::make_unique_for_overwrite<float[]>(
+        lanes * matrix);
 
-    for (int64_t n = 0; n < in_shape.n; ++n) {
-        im2col(sampleData(input, n), in_shape, out_shape, spec_,
-               columns.data());
+    forEachSample(in_shape.n, lanes, [&](int64_t n, unsigned lane) {
+        float *cols = columns.get() + lane * matrix;
+        im2col(sampleData(input, n), in_shape, out_shape, spec_, cols);
         // output[oc][s] = bias[oc] + sum_p weights[oc][p] * columns[p][s]
         gemm({.rows = spec_.out_channels,
               .cols = spatial,
@@ -214,14 +220,14 @@ Conv2D::forward(const Tensor4D &input)
               .a = weights_.value.data(),
               .a_row_stride = patch,
               .a_depth_stride = 1,
-              .b = columns.data(),
+              .b = cols,
               .ldb = spatial,
               .c = sampleData(output, n),
               .ldc = spatial,
               .start = GemmStart::RowBias,
               .row_bias = bias_.value.data(),
               .skip_zero_a = true});
-    }
+    });
     return output;
 }
 
@@ -238,51 +244,77 @@ Conv2D::backward(const Tensor4D &input, const Tensor4D &output,
     Tensor4D input_grad(in_shape);
     const int64_t patch = in_channels_ * spec_.kernel * spec_.kernel;
     const int64_t spatial = out_shape.h * out_shape.w;
-    std::vector<float> rows(static_cast<size_t>(spatial * patch));
-    std::vector<float> col_grad(static_cast<size_t>(patch * spatial));
+    // Per lane, one patch matrix: the im2row operand, then the input
+    // gradient's columns. Per slot, one sample's weight and bias
+    // gradients, which the drain adds in sample order.
+    const size_t matrix = static_cast<size_t>(patch * spatial);
+    const size_t dw_size = weights_.grad.size();
+    const size_t slot_size = dw_size + bias_.grad.size();
+    const unsigned lanes = sampleLanes(
+        in_shape.n, 2 * forwardMacs(in_shape, spec_) / kGemmMacsPerOp);
+    const unsigned slots = sampleSlots(lanes);
+    // Uninitialized: im2row, the GEMMs and the bias sums write every
+    // element before it is read.
+    const auto matrices =
+        std::make_unique_for_overwrite<float[]>(lanes * matrix);
+    const auto partials =
+        std::make_unique_for_overwrite<float[]>(slots * slot_size);
 
-    for (int64_t n = 0; n < in_shape.n; ++n) {
-        const float *dy = sampleData(output_grad, n);
+    forEachSample(
+        in_shape.n, lanes,
+        [&](int64_t n, unsigned lane) {
+            float *const mat = matrices.get() + lane * matrix;
+            float *const dw = partials.get() + (n % slots) * slot_size;
+            float *const db = dw + dw_size;
+            const float *dy = sampleData(output_grad, n);
 
-        // db[oc] += sum_s dY[oc][s]
-        for (int64_t oc = 0; oc < spec_.out_channels; ++oc) {
-            const float *dy_row = dy + oc * spatial;
-            float dbias = 0.0f;
-            for (int64_t s = 0; s < spatial; ++s)
-                dbias += dy_row[s];
-            bias_.grad[static_cast<size_t>(oc)] += dbias;
-        }
+            // db[oc] = sum_s dY[oc][s]
+            for (int64_t oc = 0; oc < spec_.out_channels; ++oc) {
+                const float *dy_row = dy + oc * spatial;
+                float dbias = 0.0f;
+                for (int64_t s = 0; s < spatial; ++s)
+                    dbias += dy_row[s];
+                db[oc] = dbias;
+            }
 
-        // dW[oc][p] += sum_s dY[oc][s] * rows[s][p]
-        im2row(sampleData(input, n), in_shape, out_shape, spec_,
-               rows.data());
-        gemm({.rows = spec_.out_channels,
-              .cols = patch,
-              .depth = spatial,
-              .a = dy,
-              .a_row_stride = spatial,
-              .a_depth_stride = 1,
-              .b = rows.data(),
-              .ldb = patch,
-              .c = weights_.grad.data(),
-              .ldc = patch,
-              .add_to_dest = true});
+            // dW[oc][p] = sum_s dY[oc][s] * rows[s][p]
+            im2row(sampleData(input, n), in_shape, out_shape, spec_, mat);
+            gemm({.rows = spec_.out_channels,
+                  .cols = patch,
+                  .depth = spatial,
+                  .a = dy,
+                  .a_row_stride = spatial,
+                  .a_depth_stride = 1,
+                  .b = mat,
+                  .ldb = patch,
+                  .c = dw,
+                  .ldc = patch});
 
-        // dCols[p][s] = sum_oc W[oc][p] * dY[oc][s], then col2im.
-        gemm({.rows = patch,
-              .cols = spatial,
-              .depth = spec_.out_channels,
-              .a = weights_.value.data(),
-              .a_row_stride = 1,
-              .a_depth_stride = patch,
-              .b = dy,
-              .ldb = spatial,
-              .c = col_grad.data(),
-              .ldc = spatial,
-              .skip_zero_a = true});
-        col2im(col_grad.data(), in_shape, out_shape, spec_,
-               sampleData(input_grad, n));
-    }
+            // dCols[p][s] = sum_oc W[oc][p] * dY[oc][s], then col2im.
+            gemm({.rows = patch,
+                  .cols = spatial,
+                  .depth = spec_.out_channels,
+                  .a = weights_.value.data(),
+                  .a_row_stride = 1,
+                  .a_depth_stride = patch,
+                  .b = dy,
+                  .ldb = spatial,
+                  .c = mat,
+                  .ldc = spatial,
+                  .skip_zero_a = true});
+            col2im(mat, in_shape, out_shape, spec_,
+                   sampleData(input_grad, n));
+        },
+        [&](int64_t n) {
+            // In sample order, as the one add-to-destination GEMM per
+            // sample did: grad = grad + this sample's sum.
+            const float *dw = partials.get() + (n % slots) * slot_size;
+            const float *db = dw + dw_size;
+            for (size_t i = 0; i < dw_size; ++i)
+                weights_.grad[i] += dw[i];
+            for (size_t oc = 0; oc < bias_.grad.size(); ++oc)
+                bias_.grad[oc] += db[oc];
+        });
     return input_grad;
 }
 

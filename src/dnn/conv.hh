@@ -6,7 +6,10 @@
  * (dnn/gemm.hh). The forward pass and the input gradient use the
  * im2col form (one row per patch element; col2im scatters the input
  * gradient back); the weight gradient uses the im2row form (one row
- * per output position), so its sums run across weights.
+ * per output position), so its sums run across weights. The samples of
+ * a batch run on the trainer's lanes (forEachSample(), dnn/layer.hh),
+ * and each sample's weight and bias gradients are added in sample
+ * order, so the floats do not depend on the lane count.
  */
 
 #ifndef CDMA_DNN_CONV_HH

@@ -3,8 +3,37 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
 
 namespace cdma {
+
+namespace {
+
+/**
+ * Passes of fewer element operations stay inline. On a 4-vCPU Xeon a
+ * fork-join across the lanes costs 15-30 us; timed per pass on the six
+ * scaled networks at batches 4, 8 and 16, fanning out lost below about
+ * 35 us of serial work and won above it, and this cut-off (about 30 us
+ * at ~2 ns per element operation) came within 0.3% of choosing each
+ * pass's faster side (docs/performance.md, "Trainer kernels").
+ */
+constexpr uint64_t kFanOutOps = 16384;
+
+/**
+ * The trainer's lanes: one pool for the process, with one lane per
+ * hardware thread, started by the first pass that fans out. It holds at
+ * most half of the fan-out's in-flight bound, so that the window of
+ * sampleSlots() fits in it.
+ */
+ThreadPool &
+samplePool()
+{
+    static ThreadPool pool(static_cast<unsigned>(std::min<uint64_t>(
+        ThreadPool::hardwareLanes(), ThreadPool::kMaxInFlight / 2)));
+    return pool;
+}
+
+} // namespace
 
 void
 ParamBlob::clearGrad()
@@ -42,6 +71,52 @@ sampleData(Tensor4D &t, int64_t n)
 {
     return const_cast<float *>(
         sampleData(static_cast<const Tensor4D &>(t), n));
+}
+
+unsigned
+sampleLanes(int64_t samples, uint64_t pass_ops)
+{
+    if (samples < 2 || pass_ops < kFanOutOps)
+        return 1;
+    return static_cast<unsigned>(std::min<uint64_t>(
+        samplePool().lanes(), static_cast<uint64_t>(samples)));
+}
+
+void
+forEachSample(int64_t samples, unsigned lanes,
+              FunctionRef<void(int64_t, unsigned)> work,
+              FunctionRef<void(int64_t)> drain)
+{
+    if (lanes <= 1) {
+        for (int64_t n = 0; n < samples; ++n) {
+            work(n, 0);
+            drain(n);
+        }
+        return;
+    }
+    // The pool numbers its running lanes below min(its lanes, samples,
+    // window), and sampleLanes() returns the smaller of the first two.
+    ThreadPool &pool = samplePool();
+    CDMA_ASSERT(lanes >= std::min<uint64_t>(pool.lanes(),
+                                            static_cast<uint64_t>(samples)),
+                "forEachSample takes a sampleLanes() count, got %u", lanes);
+    pool.orderedFanOut(
+        static_cast<uint64_t>(samples),
+        [&](uint64_t n, unsigned lane) {
+            work(static_cast<int64_t>(n), lane);
+        },
+        [&](uint64_t n) {
+            drain(static_cast<int64_t>(n));
+            return true;
+        },
+        sampleSlots(lanes));
+}
+
+void
+forEachSample(int64_t samples, unsigned lanes,
+              FunctionRef<void(int64_t, unsigned)> work)
+{
+    forEachSample(samples, lanes, work, [](int64_t) {});
 }
 
 void

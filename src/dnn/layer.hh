@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.hh"
 #include "tensor/tensor.hh"
 
 namespace cdma {
@@ -136,6 +137,59 @@ using LayerPtr = std::unique_ptr<Layer>;
  */
 const float *sampleData(const Tensor4D &t, int64_t n);
 float *sampleData(Tensor4D &t, int64_t n);
+
+/**
+ * GEMM multiply-adds that take about as long as one element operation
+ * (a compare, a multiply-add of a pooling window or an LRN sum): the
+ * AVX2 tiles run 16 at a time.
+ */
+inline constexpr uint64_t kGemmMacsPerOp = 16;
+
+/**
+ * Lanes a per-sample pass over @p samples samples runs on: the trainer's
+ * lanes (one per hardware thread, as ThreadPool(0) counts them, and at
+ * most ThreadPool::kMaxInFlight / 2), at most one per sample, or 1 when
+ * @p pass_ops, the pass's element operations (GEMM multiply-adds /
+ * kGemmMacsPerOp), are too few to pay for a fork-join. A caller sizes
+ * its per-lane scratch by this count.
+ */
+unsigned sampleLanes(int64_t samples, uint64_t pass_ops);
+
+/**
+ * Result slots of a forEachSample() with a drain on @p lanes lanes:
+ * two per lane, so a lane can work its next sample while the calling
+ * thread, itself a lane, has yet to drain its last one.
+ */
+inline unsigned
+sampleSlots(unsigned lanes)
+{
+    return lanes <= 1 ? 1 : 2 * lanes;
+}
+
+/**
+ * Run work(n, lane) for every sample n < @p samples across @p lanes
+ * lanes (a sampleLanes() count) of the trainer's one pool, and drain(n)
+ * on the calling thread in sample order, each as soon as sample n and
+ * every sample before it has finished its work.
+ *
+ * - lane < @p lanes: no two works run on one lane at once, so a lane's
+ *   scratch block is the running work's alone.
+ * - At most sampleSlots(lanes) samples are between claim and drain, so
+ *   results sample n leaves for its drain at slot
+ *   n % sampleSlots(lanes) are free again when a later sample takes
+ *   that slot over.
+ *
+ * With one lane it runs work(n, 0), drain(n) in turn, inline. Work must
+ * touch only its own sample, lane and slot; the pool is not reentrant,
+ * so work must not fan out again.
+ */
+void forEachSample(int64_t samples, unsigned lanes,
+                   FunctionRef<void(int64_t, unsigned)> work,
+                   FunctionRef<void(int64_t)> drain);
+
+/** forEachSample() for passes whose samples need no ordered drain. */
+void forEachSample(int64_t samples, unsigned lanes,
+                   FunctionRef<void(int64_t, unsigned)> work);
 
 /**
  * Forward @p input through @p layers in order; @p outputs receives each

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 
 namespace cdma {
 
@@ -27,9 +29,15 @@ Lrn::forward(const Tensor4D &input)
     const float alpha_over_n =
         spec_.alpha / static_cast<float>(spec_.local_size);
     const int64_t plane = shape.h * shape.w;
-    std::vector<float> sumsq(static_cast<size_t>(plane));
+    const unsigned lanes = sampleLanes(
+        shape.n,
+        static_cast<uint64_t>(shape.elements() * (spec_.local_size + 1)));
+    const auto sums = std::make_unique_for_overwrite<float[]>(
+        lanes * static_cast<size_t>(plane));
 
-    for (int64_t n = 0; n < shape.n; ++n) {
+    forEachSample(shape.n, lanes, [&](int64_t n, unsigned lane) {
+        const std::span<float> sumsq(sums.get() + lane * plane,
+                                     static_cast<size_t>(plane));
         const float *x = sampleData(input, n);
         float *y = sampleData(output, n);
         float *factor = sampleData(cached_factor_, n);
@@ -50,7 +58,7 @@ Lrn::forward(const Tensor4D &input)
                 y[c * plane + i] = x[c * plane + i] * f;
             }
         }
-    }
+    });
     return output;
 }
 
@@ -63,12 +71,18 @@ Lrn::backward(const Tensor4D &input, const Tensor4D &output,
     // self-term, omitting the (small, O(alpha)) cross-channel terms. This
     // keeps the backward pass O(N*C*H*W) and is a standard shortcut for
     // small-alpha LRN; gradients remain descent directions.
-    Tensor4D input_grad(input.shape());
-    auto dy = output_grad.data();
-    auto factor = cached_factor_.data();
-    auto dx = input_grad.data();
-    for (size_t i = 0; i < dy.size(); ++i)
-        dx[i] = dy[i] * factor[i];
+    const Shape4D &shape = input.shape();
+    Tensor4D input_grad(shape);
+    const int64_t sample = shape.c * shape.h * shape.w;
+    const unsigned lanes =
+        sampleLanes(shape.n, static_cast<uint64_t>(shape.elements()));
+    forEachSample(shape.n, lanes, [&](int64_t n, unsigned) {
+        const float *dy = sampleData(output_grad, n);
+        const float *factor = sampleData(cached_factor_, n);
+        float *dx = sampleData(input_grad, n);
+        for (int64_t i = 0; i < sample; ++i)
+            dx[i] = dy[i] * factor[i];
+    });
     return input_grad;
 }
 

@@ -54,42 +54,53 @@ Pool2D::forward(const Tensor4D &input)
     const float *x = sampleData(input, 0);
     float *y = sampleData(output, 0);
     const int64_t in_plane = in_shape.h * in_shape.w;
-    int64_t out_index = 0;
-    for (int64_t p = 0; p < out_shape.n * out_shape.c; ++p) {
-        const int64_t base = p * in_plane;
-        for (int64_t oh = 0; oh < out_shape.h; ++oh) {
-            for (int64_t ow = 0; ow < out_shape.w; ++ow) {
-                const int64_t h0 = oh * spec_.stride;
-                const int64_t w0 = ow * spec_.stride;
-                const int64_t h1 = std::min(h0 + spec_.kernel, in_shape.h);
-                const int64_t w1 = std::min(w0 + spec_.kernel, in_shape.w);
-                if (spec_.mode == PoolMode::Max) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    int64_t best_off = -1;
-                    for (int64_t h = h0; h < h1; ++h) {
-                        for (int64_t w = w0; w < w1; ++w) {
-                            const int64_t off = base + h * in_shape.w + w;
-                            if (x[off] > best) {
-                                best = x[off];
-                                best_off = off;
+    const int64_t out_plane = out_shape.h * out_shape.w;
+    const unsigned lanes = sampleLanes(
+        in_shape.n,
+        static_cast<uint64_t>(out_shape.elements() * spec_.kernel *
+                              spec_.kernel));
+    forEachSample(in_shape.n, lanes, [&](int64_t n, unsigned) {
+        int64_t out_index = n * out_shape.c * out_plane;
+        for (int64_t p = n * out_shape.c; p < (n + 1) * out_shape.c; ++p) {
+            const int64_t base = p * in_plane;
+            for (int64_t oh = 0; oh < out_shape.h; ++oh) {
+                for (int64_t ow = 0; ow < out_shape.w; ++ow) {
+                    const int64_t h0 = oh * spec_.stride;
+                    const int64_t w0 = ow * spec_.stride;
+                    const int64_t h1 =
+                        std::min(h0 + spec_.kernel, in_shape.h);
+                    const int64_t w1 =
+                        std::min(w0 + spec_.kernel, in_shape.w);
+                    if (spec_.mode == PoolMode::Max) {
+                        float best =
+                            -std::numeric_limits<float>::infinity();
+                        int64_t best_off = -1;
+                        for (int64_t h = h0; h < h1; ++h) {
+                            for (int64_t w = w0; w < w1; ++w) {
+                                const int64_t off =
+                                    base + h * in_shape.w + w;
+                                if (x[off] > best) {
+                                    best = x[off];
+                                    best_off = off;
+                                }
                             }
                         }
+                        y[out_index] = best;
+                        argmax_[static_cast<size_t>(out_index)] = best_off;
+                    } else {
+                        float sum = 0.0f;
+                        for (int64_t h = h0; h < h1; ++h)
+                            for (int64_t w = w0; w < w1; ++w)
+                                sum += x[base + h * in_shape.w + w];
+                        const auto window =
+                            static_cast<float>((h1 - h0) * (w1 - w0));
+                        y[out_index] = sum / window;
                     }
-                    y[out_index] = best;
-                    argmax_[static_cast<size_t>(out_index)] = best_off;
-                } else {
-                    float sum = 0.0f;
-                    for (int64_t h = h0; h < h1; ++h)
-                        for (int64_t w = w0; w < w1; ++w)
-                            sum += x[base + h * in_shape.w + w];
-                    const auto window =
-                        static_cast<float>((h1 - h0) * (w1 - w0));
-                    y[out_index] = sum / window;
+                    ++out_index;
                 }
-                ++out_index;
             }
         }
-    }
+    });
     return output;
 }
 
@@ -105,34 +116,43 @@ Pool2D::backward(const Tensor4D &input, const Tensor4D &output,
     const float *dy = sampleData(output_grad, 0);
     float *dx = sampleData(input_grad, 0);
     const int64_t in_plane = in_shape.h * in_shape.w;
-    int64_t out_index = 0;
-    for (int64_t p = 0; p < out_shape.n * out_shape.c; ++p) {
-        const int64_t base = p * in_plane;
-        for (int64_t oh = 0; oh < out_shape.h; ++oh) {
-            for (int64_t ow = 0; ow < out_shape.w; ++ow) {
-                const float g = dy[out_index];
-                if (spec_.mode == PoolMode::Max) {
-                    const int64_t off =
-                        argmax_[static_cast<size_t>(out_index)];
-                    if (off >= 0)
-                        dx[off] += g;
-                } else {
-                    const int64_t h0 = oh * spec_.stride;
-                    const int64_t w0 = ow * spec_.stride;
-                    const int64_t h1 =
-                        std::min(h0 + spec_.kernel, in_shape.h);
-                    const int64_t w1 =
-                        std::min(w0 + spec_.kernel, in_shape.w);
-                    const auto window =
-                        static_cast<float>((h1 - h0) * (w1 - w0));
-                    for (int64_t h = h0; h < h1; ++h)
-                        for (int64_t w = w0; w < w1; ++w)
-                            dx[base + h * in_shape.w + w] += g / window;
+    const int64_t out_plane = out_shape.h * out_shape.w;
+    const unsigned lanes = sampleLanes(
+        in_shape.n,
+        static_cast<uint64_t>(out_shape.elements() *
+                              (spec_.mode == PoolMode::Max
+                                   ? 1
+                                   : spec_.kernel * spec_.kernel)));
+    forEachSample(in_shape.n, lanes, [&](int64_t n, unsigned) {
+        int64_t out_index = n * out_shape.c * out_plane;
+        for (int64_t p = n * out_shape.c; p < (n + 1) * out_shape.c; ++p) {
+            const int64_t base = p * in_plane;
+            for (int64_t oh = 0; oh < out_shape.h; ++oh) {
+                for (int64_t ow = 0; ow < out_shape.w; ++ow) {
+                    const float g = dy[out_index];
+                    if (spec_.mode == PoolMode::Max) {
+                        const int64_t off =
+                            argmax_[static_cast<size_t>(out_index)];
+                        if (off >= 0)
+                            dx[off] += g;
+                    } else {
+                        const int64_t h0 = oh * spec_.stride;
+                        const int64_t w0 = ow * spec_.stride;
+                        const int64_t h1 =
+                            std::min(h0 + spec_.kernel, in_shape.h);
+                        const int64_t w1 =
+                            std::min(w0 + spec_.kernel, in_shape.w);
+                        const auto window =
+                            static_cast<float>((h1 - h0) * (w1 - w0));
+                        for (int64_t h = h0; h < h1; ++h)
+                            for (int64_t w = w0; w < w1; ++w)
+                                dx[base + h * in_shape.w + w] += g / window;
+                    }
+                    ++out_index;
                 }
-                ++out_index;
             }
         }
-    }
+    });
     return input_grad;
 }
 

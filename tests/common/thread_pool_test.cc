@@ -42,8 +42,9 @@ TEST(ThreadPool, SingleLaneRunsInline)
     std::vector<std::string> events;
     pool.orderedFanOut(
         5,
-        [&](uint64_t i) {
+        [&](uint64_t i, unsigned lane) {
             EXPECT_EQ(std::this_thread::get_id(), caller);
+            EXPECT_EQ(lane, 0u);
             events.push_back("w" + std::to_string(i));
         },
         [&](uint64_t i) {
@@ -63,7 +64,7 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce)
     std::vector<std::atomic<int>> hits(kCount);
     std::vector<uint64_t> drained;
     pool.orderedFanOut(
-        kCount, [&](uint64_t i) { hits[i].fetch_add(1); },
+        kCount, [&](uint64_t i, unsigned) { hits[i].fetch_add(1); },
         recordingDrain(drained));
     for (uint64_t i = 0; i < kCount; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
@@ -75,7 +76,7 @@ TEST(ThreadPool, ZeroCountIsANoOp)
     ThreadPool pool(4);
     std::atomic<int> calls{0};
     pool.orderedFanOut(
-        0, [&](uint64_t) { calls.fetch_add(1); },
+        0, [&](uint64_t, unsigned) { calls.fetch_add(1); },
         [&](uint64_t) {
             calls.fetch_add(1);
             return true;
@@ -89,7 +90,7 @@ TEST(ThreadPool, FewerItemsThanLanes)
     std::vector<std::atomic<int>> hits(3);
     std::vector<uint64_t> drained;
     pool.orderedFanOut(
-        3, [&](uint64_t i) { hits[i].fetch_add(1); },
+        3, [&](uint64_t i, unsigned) { hits[i].fetch_add(1); },
         recordingDrain(drained));
     for (size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1);
@@ -103,11 +104,93 @@ TEST(ThreadPool, ReusableAcrossManyDispatches)
         std::atomic<uint64_t> sum{0};
         std::vector<uint64_t> drained;
         pool.orderedFanOut(
-            100, [&](uint64_t i) { sum.fetch_add(i + 1); },
+            100, [&](uint64_t i, unsigned) { sum.fetch_add(i + 1); },
             recordingDrain(drained));
         EXPECT_EQ(sum.load(), 100u * 101u / 2);
         EXPECT_EQ(drained, indices(100)) << "round " << round;
     }
+}
+
+TEST(ThreadPool, WindowBoundsIndicesBetweenClaimAndDrain)
+{
+    // Index i starts only after drain(i - window) has returned, so a
+    // result kept at slot i % window is still there at its drain, and
+    // no two live indices share a slot.
+    ThreadPool pool(4);
+    constexpr uint64_t kCount = 500;
+    for (const uint64_t window : {1u, 2u, 3u, 8u}) {
+        std::atomic<uint64_t> drained_count{0};
+        std::atomic<int> early{0};
+        std::vector<uint64_t> slots(window, kCount);
+        std::vector<uint64_t> drained;
+        pool.orderedFanOut(
+            kCount,
+            [&](uint64_t i, unsigned) {
+                if (i >= drained_count.load() + window)
+                    early.fetch_add(1);
+                slots[i % window] = i;
+            },
+            [&](uint64_t i) {
+                EXPECT_EQ(slots[i % window], i) << "window " << window;
+                drained.push_back(i);
+                drained_count.store(i + 1);
+                return true;
+            },
+            window);
+        EXPECT_EQ(early.load(), 0) << "window " << window;
+        EXPECT_EQ(drained, indices(kCount)) << "window " << window;
+    }
+}
+
+TEST(ThreadPool, RunningLanesAreNumberedBelowTheirBound)
+{
+    // The caller is lane 0 and every helper takes its own number, below
+    // min(lanes, count, window): a block of per-lane state is the
+    // running work's alone. Windows and counts below the lane count
+    // must shrink the numbers too.
+    ThreadPool pool(6);
+    for (const uint64_t window : {0u, 2u, 3u}) {
+        for (const uint64_t count : {2u, 4u, 300u}) {
+            const uint64_t bound = std::min<uint64_t>(
+                {pool.lanes(), count,
+                 window == 0 ? ThreadPool::kMaxInFlight : window});
+            std::vector<std::atomic<int>> busy(pool.lanes());
+            std::atomic<int> clashes{0};
+            const std::thread::id caller = std::this_thread::get_id();
+            std::vector<uint64_t> drained;
+            pool.orderedFanOut(
+                count,
+                [&](uint64_t, unsigned lane) {
+                    if (lane >= bound || busy[lane].fetch_add(1) != 0 ||
+                        (lane == 0) !=
+                            (std::this_thread::get_id() == caller))
+                        clashes.fetch_add(1);
+                    std::this_thread::yield();
+                    if (lane < bound)
+                        busy[lane].fetch_sub(1);
+                },
+                recordingDrain(drained), window);
+            EXPECT_EQ(clashes.load(), 0)
+                << "window " << window << ", count " << count;
+            EXPECT_EQ(drained, indices(count));
+        }
+    }
+}
+
+TEST(ThreadPool, StopWakesHelpersWaitingOnTheWindow)
+{
+    // A drain that stops while helpers wait for window room must still
+    // join them: the call returns, and nothing past the stop drains.
+    ThreadPool pool(4);
+    std::vector<uint64_t> drained;
+    pool.orderedFanOut(
+        1000, [](uint64_t, unsigned) { std::this_thread::yield(); },
+        [&](uint64_t i) {
+            drained.push_back(i);
+            return i < 5;
+        },
+        2);
+    EXPECT_EQ(drained, indices(6));
 }
 
 TEST(ThreadPool, WorkerExceptionRethrowsAtRendezvous)
@@ -122,7 +205,7 @@ TEST(ThreadPool, WorkerExceptionRethrowsAtRendezvous)
     try {
         pool.orderedFanOut(
             10000,
-            [&](uint64_t i) {
+            [&](uint64_t i, unsigned) {
                 if (i == 17)
                     throw std::runtime_error("lane failure at 17");
                 executed.fetch_add(1);
@@ -144,7 +227,7 @@ TEST(ThreadPool, PoolSurvivesAndIsReusableAfterAnException)
     for (int round = 0; round < 5; ++round) {
         EXPECT_THROW(pool.orderedFanOut(
                          64,
-                         [&](uint64_t i) {
+                         [&](uint64_t i, unsigned) {
                              if (i == 7)
                                  throw std::runtime_error("boom");
                          },
@@ -153,7 +236,7 @@ TEST(ThreadPool, PoolSurvivesAndIsReusableAfterAnException)
         std::atomic<int> calls{0};
         std::vector<uint64_t> drained;
         pool.orderedFanOut(
-            64, [&](uint64_t) { calls.fetch_add(1); },
+            64, [&](uint64_t, unsigned) { calls.fetch_add(1); },
             recordingDrain(drained));
         EXPECT_EQ(calls.load(), 64) << "round " << round;
         EXPECT_EQ(drained, indices(64)) << "round " << round;
@@ -167,7 +250,7 @@ TEST(ThreadPool, InlineLaneExceptionPropagatesDirectly)
     std::vector<uint64_t> drained;
     EXPECT_THROW(pool.orderedFanOut(
                      5,
-                     [&](uint64_t i) {
+                     [&](uint64_t i, unsigned) {
                          if (i == 2)
                              throw std::logic_error("inline");
                          ran.push_back(i);
@@ -188,7 +271,8 @@ TEST(ThreadPool, DefaultUsesHardwareConcurrency)
     std::atomic<int> calls{0};
     std::vector<uint64_t> drained;
     pool.orderedFanOut(
-        17, [&](uint64_t) { calls.fetch_add(1); }, recordingDrain(drained));
+        17, [&](uint64_t, unsigned) { calls.fetch_add(1); },
+        recordingDrain(drained));
     EXPECT_EQ(calls.load(), 17);
     EXPECT_EQ(drained, indices(17));
 }

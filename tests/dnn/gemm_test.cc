@@ -6,18 +6,23 @@
  * reference loops below are the ones the conv and FC layers ran before
  * they shared dnn/gemm.hh, element by element through Tensor4D::at. The
  * layer tests run through gemm(), so under a forced CDMA_KERNEL_BACKEND
- * they pin that backend's path.
+ * they pin that backend's path. Passes large enough to fan their samples
+ * out on the trainer's lanes (forEachSample(), dnn/layer.hh) must return
+ * the same floats at every batch.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "dnn/conv.hh"
 #include "dnn/fc.hh"
 #include "dnn/gemm.hh"
@@ -377,6 +382,50 @@ TEST(DnnGemm, ScalarLoopsFollowTheDocumentedSum)
     EXPECT_FALSE(std::signbit(c[3]));
 }
 
+/**
+ * One Conv2D layer (weights drawn from @p init_seed) against
+ * refConvForward and refConvBackward on an @p in_shape input, bit for
+ * bit; the values and the gradients it adds onto come from @p rng.
+ */
+void
+checkConv(const Shape4D &in_shape, const ConvSpec &spec, uint64_t init_seed,
+          Rng &rng, const std::string &what)
+{
+    Rng init(init_seed);
+    Conv2D conv("conv", in_shape.c, spec, init);
+    const Shape4D out_shape = conv.outputShape(in_shape);
+    ParamBlob &weights = *conv.params()[0];
+    ParamBlob &bias = *conv.params()[1];
+    fillValues(weights.value, rng, 0.15, false);
+    fillValues(bias.value, rng, 0.5, false);
+    fillValues(weights.grad, rng, 0.1, false);
+    fillValues(bias.grad, rng, 0.1, false);
+
+    Tensor4D input(in_shape);
+    std::vector<float> x(static_cast<size_t>(in_shape.elements()));
+    fillValues(x, rng, 0.3, true);
+    std::copy(x.begin(), x.end(), input.data().begin());
+    Tensor4D dy(out_shape);
+    std::vector<float> g(static_cast<size_t>(out_shape.elements()));
+    fillValues(g, rng, 0.3, true);
+    std::copy(g.begin(), g.end(), dy.data().begin());
+
+    const Tensor4D y = conv.forward(input);
+    expectSameBits(values(y),
+                   values(refConvForward(input, weights.value, bias.value,
+                                         spec, out_shape)),
+                   what + " forward");
+
+    std::vector<float> want_dw = weights.grad;
+    std::vector<float> want_db = bias.grad;
+    const Tensor4D want_dx =
+        refConvBackward(input, weights.value, dy, spec, want_dw, want_db);
+    const Tensor4D dx = conv.backward(input, y, dy);
+    expectSameBits(values(dx), values(want_dx), what + " input grad");
+    expectSameBits(weights.grad, want_dw, what + " weight grad");
+    expectSameBits(bias.grad, want_db, what + " bias grad");
+}
+
 TEST(DnnGemm, ConvMatchesTheReferenceLoops)
 {
     // Kernels 1, 3, 5, 11 at strides 1, 2, 4 and pads 0-2, on an odd
@@ -386,46 +435,37 @@ TEST(DnnGemm, ConvMatchesTheReferenceLoops)
     for (const int64_t k : {1, 3, 5, 11}) {
         for (const int64_t stride : {1, 2, 4}) {
             for (const int64_t pad : {0, 1, 2}) {
-                const ConvSpec spec{5, k, stride, pad};
-                Rng init(k * 100 + stride * 10 + pad);
-                Conv2D conv("conv", 3, spec, init);
-                const Shape4D in_shape{2, 3, 13, 19};
-                const Shape4D out_shape = conv.outputShape(in_shape);
-                ParamBlob &weights = *conv.params()[0];
-                ParamBlob &bias = *conv.params()[1];
-                fillValues(weights.value, rng, 0.15, false);
-                fillValues(bias.value, rng, 0.5, false);
-                fillValues(weights.grad, rng, 0.1, false);
-                fillValues(bias.grad, rng, 0.1, false);
-
-                Tensor4D input(in_shape);
-                std::vector<float> x(static_cast<size_t>(in_shape.elements()));
-                fillValues(x, rng, 0.3, true);
-                std::copy(x.begin(), x.end(), input.data().begin());
-                Tensor4D dy(out_shape);
-                std::vector<float> g(static_cast<size_t>(out_shape.elements()));
-                fillValues(g, rng, 0.3, true);
-                std::copy(g.begin(), g.end(), dy.data().begin());
-
-                const std::string what = "k" + std::to_string(k) + " s" +
-                    std::to_string(stride) + " p" + std::to_string(pad);
-                const Tensor4D y = conv.forward(input);
-                expectSameBits(values(y),
-                               values(refConvForward(input, weights.value,
-                                                     bias.value, spec,
-                                                     out_shape)),
-                               what + " forward");
-
-                std::vector<float> want_dw = weights.grad;
-                std::vector<float> want_db = bias.grad;
-                const Tensor4D want_dx = refConvBackward(
-                    input, weights.value, dy, spec, want_dw, want_db);
-                const Tensor4D dx = conv.backward(input, y, dy);
-                expectSameBits(values(dx), values(want_dx),
-                               what + " input grad");
-                expectSameBits(weights.grad, want_dw, what + " weight grad");
-                expectSameBits(bias.grad, want_db, what + " bias grad");
+                checkConv({2, 3, 13, 19}, {5, k, stride, pad},
+                          static_cast<uint64_t>(k * 100 + stride * 10 + pad),
+                          rng,
+                          "k" + std::to_string(k) + " s" +
+                              std::to_string(stride) + " p" +
+                              std::to_string(pad));
             }
+        }
+    }
+
+    // Passes above the fan-out cut-off run their samples on the
+    // trainer's lanes and add each sample's dW and db in sample order.
+    // Batches 1 (inline), 2, lanes + 1 (one sample past a full round of
+    // lanes) and 16 (every result slot reused), on a 3x3 conv and on a
+    // strided, padded 5x5 one with partial windows on every border.
+    const int64_t lanes = std::min<int64_t>(ThreadPool::hardwareLanes(),
+                                            ThreadPool::kMaxInFlight / 2);
+    for (const int64_t n : {int64_t{1}, int64_t{2}, lanes + 1, int64_t{16}}) {
+        for (const auto &[in_shape, spec] :
+             {std::pair{Shape4D{n, 8, 16, 16}, ConvSpec{16, 3, 1, 1}},
+              std::pair{Shape4D{n, 3, 33, 31}, ConvSpec{13, 5, 2, 2}}}) {
+            const std::string what =
+                (testing::Message() << 'k' << spec.kernel << " batch " << n)
+                    .GetString();
+            const uint64_t ops =
+                Conv2D::forwardMacs(in_shape, spec) / kGemmMacsPerOp;
+            EXPECT_EQ(sampleLanes(n, ops),
+                      static_cast<unsigned>(std::min(lanes, n)))
+                << what << " stays below the fan-out cut-off";
+            checkConv(in_shape, spec, static_cast<uint64_t>(spec.kernel),
+                      rng, what);
         }
     }
 }
