@@ -105,6 +105,14 @@ ThreadPool::hardwareLanes()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
+ThreadPool &
+ThreadPool::shared()
+{
+    static ThreadPool pool(static_cast<unsigned>(
+        std::min<uint64_t>(hardwareLanes(), kMaxInFlight / 2)));
+    return pool;
+}
+
 ThreadPool::~ThreadPool()
 {
     {

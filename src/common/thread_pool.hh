@@ -45,6 +45,16 @@ class ThreadPool
     /** One lane per hardware thread (at least one): ThreadPool(0)'s. */
     static unsigned hardwareLanes();
 
+    /**
+     * The process's one shared pool, started by its first caller: one
+     * lane per hardware thread, and at most kMaxInFlight / 2, so that a
+     * window of two indices per lane fits the in-flight bound. The
+     * trainer's per-sample passes and the activation generator both fan
+     * out on it. Several threads may fan out on it at once; work running
+     * on it must not fan out on it again.
+     */
+    static ThreadPool &shared();
+
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 

@@ -19,20 +19,6 @@ namespace {
  */
 constexpr uint64_t kFanOutOps = 16384;
 
-/**
- * The trainer's lanes: one pool for the process, with one lane per
- * hardware thread, started by the first pass that fans out. It holds at
- * most half of the fan-out's in-flight bound, so that the window of
- * sampleSlots() fits in it.
- */
-ThreadPool &
-samplePool()
-{
-    static ThreadPool pool(static_cast<unsigned>(std::min<uint64_t>(
-        ThreadPool::hardwareLanes(), ThreadPool::kMaxInFlight / 2)));
-    return pool;
-}
-
 } // namespace
 
 void
@@ -79,7 +65,7 @@ sampleLanes(int64_t samples, uint64_t pass_ops)
     if (samples < 2 || pass_ops < kFanOutOps)
         return 1;
     return static_cast<unsigned>(std::min<uint64_t>(
-        samplePool().lanes(), static_cast<uint64_t>(samples)));
+        ThreadPool::shared().lanes(), static_cast<uint64_t>(samples)));
 }
 
 void
@@ -96,7 +82,7 @@ forEachSample(int64_t samples, unsigned lanes,
     }
     // The pool numbers its running lanes below min(its lanes, samples,
     // window), and sampleLanes() returns the smaller of the first two.
-    ThreadPool &pool = samplePool();
+    ThreadPool &pool = ThreadPool::shared();
     CDMA_ASSERT(lanes >= std::min<uint64_t>(pool.lanes(),
                                             static_cast<uint64_t>(samples)),
                 "forEachSample takes a sampleLanes() count, got %u", lanes);

@@ -146,9 +146,8 @@ float *sampleData(Tensor4D &t, int64_t n);
 inline constexpr uint64_t kGemmMacsPerOp = 16;
 
 /**
- * Lanes a per-sample pass over @p samples samples runs on: the trainer's
- * lanes (one per hardware thread, as ThreadPool(0) counts them, and at
- * most ThreadPool::kMaxInFlight / 2), at most one per sample, or 1 when
+ * Lanes a per-sample pass over @p samples samples runs on: the lanes of
+ * ThreadPool::shared(), at most one per sample, or 1 when
  * @p pass_ops, the pass's element operations (GEMM multiply-adds /
  * kGemmMacsPerOp), are too few to pay for a fork-join. A caller sizes
  * its per-lane scratch by this count.
@@ -168,7 +167,7 @@ sampleSlots(unsigned lanes)
 
 /**
  * Run work(n, lane) for every sample n < @p samples across @p lanes
- * lanes (a sampleLanes() count) of the trainer's one pool, and drain(n)
+ * lanes (a sampleLanes() count) of ThreadPool::shared(), and drain(n)
  * on the calling thread in sample order, each as soon as sample n and
  * every sample before it has finished its work.
  *

@@ -14,10 +14,32 @@
 #ifndef CDMA_SPARSITY_GENERATOR_HH
 #define CDMA_SPARSITY_GENERATOR_HH
 
+#include <cstdint>
+#include <span>
+
 #include "common/rng.hh"
 #include "tensor/tensor.hh"
 
 namespace cdma {
+
+/**
+ * Maps of fewer elements are generated on the calling thread alone;
+ * larger ones fan each pass out on ThreadPool::shared(). On a 4-vCPU
+ * Xeon the four fan-outs of one map cost about 90 us more than the
+ * inline passes on maps of 8K-16K elements, broke even near 43K and
+ * won from 49K on (docs/performance.md, "Input generation").
+ */
+inline constexpr uint64_t kGeneratorFanOutElements = 49152;
+
+/**
+ * The k-th smallest of @p values, counting from 0: the value
+ * std::nth_element would leave at index @p k. Where -0.0 and +0.0 meet
+ * at rank k, nth_element may leave either (they compare equal); this
+ * returns the one an order that puts -0.0 first ranks there. Spans of
+ * kGeneratorFanOutElements values or more are scanned on the shared
+ * pool's lanes. @pre k < values.size(), and no value is NaN.
+ */
+float kthSmallest(std::span<const float> values, uint64_t k);
 
 /** Tuning of the clustered activation generator. */
 struct ActivationGenConfig {
@@ -47,6 +69,12 @@ struct ActivationGenConfig {
  * a global threshold is chosen at the exact quantile that achieves the
  * requested density; activations are ReLU-style shifted field values
  * above the threshold and zero below.
+ *
+ * Every random draw happens first, serially, plane after plane; the
+ * field, the threshold and the rectification then run over the map on
+ * the shared pool's lanes (maps of kGeneratorFanOutElements or more).
+ * The bytes and the stream's state afterwards do not depend on the
+ * lane count.
  */
 class ActivationGenerator
 {
@@ -57,7 +85,8 @@ class ActivationGenerator
      * Generate a tensor of the given logical shape and physical layout
      * whose density is @p density (exact up to ties in the field).
      *
-     * @param shape Logical (N, C, H, W) extents.
+     * @param shape Logical (N, C, H, W) extents. A zero extent gives an
+     *        empty tensor and draws nothing from @p rng.
      * @param layout Physical layout of the result.
      * @param density Target fraction of non-zero activations in [0, 1].
      * @param rng Randomness stream (pass the same seeded stream to get

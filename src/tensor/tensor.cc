@@ -15,7 +15,8 @@ Tensor4D::Tensor4D(const Shape4D &shape, Layout layout)
     : shape_(shape), layout_(layout),
       data_(static_cast<size_t>(shape.elements()), 0.0f)
 {
-    CDMA_ASSERT(shape.n > 0 && shape.c > 0 && shape.h > 0 && shape.w > 0,
+    CDMA_ASSERT(shape.n >= 0 && shape.c >= 0 && shape.h >= 0 &&
+                    shape.w >= 0,
                 "invalid tensor shape %s", shape.str().c_str());
 }
 

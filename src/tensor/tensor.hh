@@ -28,7 +28,11 @@ class Tensor4D
     /** Empty tensor (shape (1,1,1,1), one zero element, NCHW). */
     Tensor4D();
 
-    /** Zero-initialized tensor of the given shape and layout. */
+    /**
+     * Zero-initialized tensor of the given shape and layout. An extent
+     * may be zero (the tensor then holds no elements); none may be
+     * negative.
+     */
     explicit Tensor4D(const Shape4D &shape, Layout layout = Layout::NCHW);
 
     /** Logical shape. */

@@ -177,6 +177,52 @@ TEST(ThreadPool, RunningLanesAreNumberedBelowTheirBound)
     }
 }
 
+TEST(ThreadPool, ConcurrentCallersShareOnePool)
+{
+    // Two threads fan out on one pool at once, as the trainer and the
+    // activation generator may on ThreadPool::shared(). Each call must
+    // run every index once, drain in order, and number its own lanes
+    // below its own bound, lane 0 being its own calling thread.
+    ThreadPool pool(4);
+    constexpr int kRounds = 40;
+    std::atomic<int> failures{0};
+    auto caller = [&](uint64_t seed) {
+        for (int round = 0; round < kRounds; ++round) {
+            const uint64_t count = 1 + (seed * 7 + round * 13) % 97;
+            const uint64_t window = round % 3 == 0 ? 0 : 1 + round % 5;
+            const uint64_t bound = std::min<uint64_t>(
+                {pool.lanes(), count,
+                 window == 0 ? ThreadPool::kMaxInFlight : window});
+            std::vector<std::atomic<int>> runs(count);
+            std::vector<std::atomic<int>> busy(pool.lanes());
+            const std::thread::id self = std::this_thread::get_id();
+            std::vector<uint64_t> drained;
+            pool.orderedFanOut(
+                count,
+                [&](uint64_t i, unsigned lane) {
+                    runs[i].fetch_add(1);
+                    if (lane >= bound || busy[lane].fetch_add(1) != 0 ||
+                        (lane == 0) != (std::this_thread::get_id() == self))
+                        failures.fetch_add(1);
+                    std::this_thread::yield();
+                    if (lane < bound)
+                        busy[lane].fetch_sub(1);
+                },
+                recordingDrain(drained), window);
+            for (const auto &r : runs) {
+                if (r.load() != 1)
+                    failures.fetch_add(1);
+            }
+            if (drained != indices(count))
+                failures.fetch_add(1);
+        }
+    };
+    std::thread other(caller, 1);
+    caller(2);
+    other.join();
+    EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(ThreadPool, StopWakesHelpersWaitingOnTheWindow)
 {
     // A drain that stops while helpers wait for window room must still
